@@ -121,7 +121,7 @@ std::optional<Sarg> MatchSarg(const Expr& e, const std::string& alias,
   return s;
 }
 
-// Collects every path referenced by the statement (relative to the FROM
+// Collects every path referenced by an expression (relative to the FROM
 // alias); used for covering-index detection. Returns false if something
 // cannot be resolved to a document path (then covering is impossible).
 bool CollectReferencedPaths(const Expr& e, const std::string& alias,
@@ -131,11 +131,9 @@ bool CollectReferencedPaths(const Expr& e, const std::string& alias,
     case ExprKind::kParameter:
       return true;
     case ExprKind::kMeta:
-      if (e.meta_field == "id" &&
-          (e.meta_alias.empty() || e.meta_alias == alias)) {
-        return true;  // meta id always rides along with index entries
-      }
-      return false;
+      // meta().id rides along with every index entry; other fields do not.
+      return e.meta_field == "id" &&
+             (e.meta_alias.empty() || e.meta_alias == alias);
     case ExprKind::kPath: {
       auto rel = RelativePathText(e, alias);
       if (!rel.has_value()) return false;
@@ -148,11 +146,90 @@ bool CollectReferencedPaths(const Expr& e, const std::string& alias,
           return false;
         }
       }
-      return e.kind != ExprKind::kCollection &&
-             e.kind != ExprKind::kArrayComprehension
-                 ? true
-                 : true;
+      for (const CaseArm& arm : e.case_arms) {
+        if (!CollectReferencedPaths(*arm.when, alias, out) ||
+            !CollectReferencedPaths(*arm.then, alias, out)) {
+          return false;
+        }
+      }
+      if (e.case_else != nullptr &&
+          !CollectReferencedPaths(*e.case_else, alias, out)) {
+        return false;
+      }
+      return true;
   }
+}
+
+// The document paths a SELECT references, or nullopt when an index cannot
+// cover it at all (`*`, a join, the bare alias, or a meta() field other
+// than id). An empty list means the statement reads nothing but meta().id.
+std::optional<std::vector<std::string>> CoverablePaths(
+    const SelectStatement& stmt) {
+  if (!stmt.joins.empty()) return std::nullopt;
+  const std::string& alias = stmt.from->alias;
+  std::vector<const Expr*> exprs;
+  for (const SelectItem& item : stmt.items) {
+    if (item.star) return std::nullopt;
+    exprs.push_back(item.expr.get());
+  }
+  exprs.push_back(stmt.where.get());
+  for (const ExprPtr& g : stmt.group_by) exprs.push_back(g.get());
+  exprs.push_back(stmt.having.get());
+  for (const OrderKey& k : stmt.order_by) exprs.push_back(k.expr.get());
+  std::vector<std::string> paths;
+  for (const Expr* e : exprs) {
+    if (e != nullptr && !CollectReferencedPaths(*e, alias, &paths)) {
+      return std::nullopt;
+    }
+  }
+  return paths;
+}
+
+// Narrows `r` by one sargable predicate. Several predicates on the same key
+// intersect: the tighter bound wins, and on a tie the exclusive one.
+void NarrowRange(const Sarg& s, gsi::ScanRange* r) {
+  // `sign` is +1 for a lower bound (larger is tighter), -1 for an upper one.
+  auto tighten = [](std::optional<json::Value>* bound, bool* inclusive,
+                    const json::Value& v, bool v_inclusive, int sign) {
+    if (bound->has_value()) {
+      int c = sign * json::Value::Compare(v, **bound);
+      if (c < 0 || (c == 0 && (v_inclusive || !*inclusive))) return;
+    }
+    *bound = v;
+    *inclusive = v_inclusive;
+  };
+  switch (s.op) {
+    case BinaryOp::kEq:
+      tighten(&r->lo, &r->lo_inclusive, s.bound, true, 1);
+      tighten(&r->hi, &r->hi_inclusive, s.bound, true, -1);
+      break;
+    case BinaryOp::kGt:
+      tighten(&r->lo, &r->lo_inclusive, s.bound, false, 1);
+      break;
+    case BinaryOp::kGte:
+      tighten(&r->lo, &r->lo_inclusive, s.bound, true, 1);
+      break;
+    case BinaryOp::kLt:
+      tighten(&r->hi, &r->hi_inclusive, s.bound, false, -1);
+      break;
+    case BinaryOp::kLte:
+      tighten(&r->hi, &r->hi_inclusive, s.bound, true, -1);
+      break;
+    default:
+      break;
+  }
+}
+
+std::string DescribeRange(const gsi::ScanRange& range) {
+  std::string desc;
+  if (range.lo.has_value()) {
+    desc += (range.lo_inclusive ? ">= " : "> ") + range.lo->ToJson();
+  }
+  if (range.hi.has_value()) {
+    if (!desc.empty()) desc += " AND ";
+    desc += (range.hi_inclusive ? "<= " : "< ") + range.hi->ToJson();
+  }
+  return desc;
 }
 
 void CollectAggregatesExpr(const ExprPtr& e, std::vector<ExprPtr>* out) {
@@ -188,15 +265,15 @@ json::Value QueryPlan::Describe(const SelectStatement& stmt) const {
   if (!scan.index_name.empty()) {
     scan_op["index"] = json::Value::Str(scan.index_name);
   }
-  if (scan.kind == ScanKind::kIndexScan) {
+  const bool index_backed =
+      scan.kind == ScanKind::kIndexScan || scan.kind == ScanKind::kPrimaryScan;
+  if (index_backed) {
     scan_op["covering"] = json::Value::Bool(scan.covering);
-    if (!scan.range_description.empty()) {
-      scan_op["range"] = json::Value::Str(scan.range_description);
-    }
+    std::string range = DescribeRange(scan.range);
+    if (!range.empty()) scan_op["range"] = json::Value::Str(std::move(range));
   }
   ops.Append(std::move(scan_op));
-  if (scan.kind != ScanKind::kNoScan && !scan.covering &&
-      scan.kind != ScanKind::kKeyScan) {
+  if (index_backed && !scan.covering) {
     json::Value fetch = json::Value::MakeObject();
     fetch["#operator"] = json::Value::Str("Fetch");
     ops.Append(std::move(fetch));
@@ -282,39 +359,13 @@ StatusOr<QueryPlan> PlanSelect(const SelectStatement& stmt,
   }
 
   // Referenced paths for covering detection.
-  std::vector<std::string> referenced;
-  bool coverable = true;
-  for (const SelectItem& item : stmt.items) {
-    if (item.star) {
-      coverable = false;
-      continue;
-    }
-    if (item.expr != nullptr &&
-        !CollectReferencedPaths(*item.expr, from.alias, &referenced)) {
-      coverable = false;
-    }
-  }
-  if (stmt.where != nullptr &&
-      !CollectReferencedPaths(*stmt.where, from.alias, &referenced)) {
-    coverable = false;
-  }
-  for (const OrderKey& k : stmt.order_by) {
-    if (!CollectReferencedPaths(*k.expr, from.alias, &referenced)) {
-      coverable = false;
-    }
-  }
-  for (const ExprPtr& g : stmt.group_by) {
-    if (!CollectReferencedPaths(*g, from.alias, &referenced)) {
-      coverable = false;
-    }
-  }
-  if (!stmt.joins.empty()) coverable = false;
+  const std::optional<std::vector<std::string>> referenced =
+      CoverablePaths(stmt);
 
   // 2. Look for the best qualifying secondary index.
   const gsi::IndexDefinition* best = nullptr;
   gsi::ScanRange best_range;
   int best_score = -1;
-  std::string best_desc;
   for (const gsi::IndexDefinition& def : indexes) {
     if (def.is_primary || def.key_paths.empty()) continue;
     if (def.array_index) continue;  // array indexes handled via ANY below
@@ -336,36 +387,8 @@ StatusOr<QueryPlan> PlanSelect(const SelectStatement& stmt,
     int score = 0;
     for (const auto& s : sargs) {
       if (!s.has_value() || s->is_meta_id || s->path != lead) continue;
-      switch (s->op) {
-        case BinaryOp::kEq:
-          range.lo = s->bound;
-          range.hi = s->bound;
-          range.lo_inclusive = range.hi_inclusive = true;
-          score = std::max(score, 100);
-          break;
-        case BinaryOp::kGt:
-          range.lo = s->bound;
-          range.lo_inclusive = false;
-          score = std::max(score, 50);
-          break;
-        case BinaryOp::kGte:
-          range.lo = s->bound;
-          range.lo_inclusive = true;
-          score = std::max(score, 50);
-          break;
-        case BinaryOp::kLt:
-          range.hi = s->bound;
-          range.hi_inclusive = false;
-          score = std::max(score, 50);
-          break;
-        case BinaryOp::kLte:
-          range.hi = s->bound;
-          range.hi_inclusive = true;
-          score = std::max(score, 50);
-          break;
-        default:
-          break;
-      }
+      NarrowRange(*s, &range);
+      score = std::max(score, s->op == BinaryOp::kEq ? 100 : 50);
     }
     if (score == 0) continue;
     if (!def.where_text.empty()) score += 10;  // partial indexes are smaller
@@ -373,61 +396,21 @@ StatusOr<QueryPlan> PlanSelect(const SelectStatement& stmt,
       best = &def;
       best_range = range;
       best_score = score;
-      best_desc.clear();
-      if (range.lo.has_value()) {
-        best_desc += (range.lo_inclusive ? ">= " : "> ") + range.lo->ToJson();
-      }
-      if (range.hi.has_value()) {
-        if (!best_desc.empty()) best_desc += " AND ";
-        best_desc += (range.hi_inclusive ? "<= " : "< ") + range.hi->ToJson();
-      }
-    }
-  }
-
-  // META().id range predicates can use the primary index as a ranged scan
-  // (this is what YCSB workload E does, §10.1.2).
-  const gsi::IndexDefinition* primary = nullptr;
-  for (const gsi::IndexDefinition& def : indexes) {
-    if (def.is_primary) {
-      primary = &def;
-      break;
-    }
-  }
-  gsi::ScanRange id_range;
-  bool has_id_range = false;
-  for (const auto& s : sargs) {
-    if (!s.has_value() || !s->is_meta_id) continue;
-    has_id_range = true;
-    switch (s->op) {
-      case BinaryOp::kEq:
-        id_range.lo = s->bound;
-        id_range.hi = s->bound;
-        break;
-      case BinaryOp::kGt:
-        id_range.lo = s->bound;
-        id_range.lo_inclusive = false;
-        break;
-      case BinaryOp::kGte:
-        id_range.lo = s->bound;
-        break;
-      case BinaryOp::kLt:
-        id_range.hi = s->bound;
-        id_range.hi_inclusive = false;
-        break;
-      case BinaryOp::kLte:
-        id_range.hi = s->bound;
-        break;
-      default:
-        break;
     }
   }
 
   if (best != nullptr) {
+    // A range with no lower bound starts just above NULL, as N1QL's spans
+    // do: NULL keys sort first and never satisfy a comparison, so scanning
+    // them would let a pushed-down LIMIT count rows the Filter then drops.
+    if (!best_range.lo.has_value() && best_range.hi.has_value()) {
+      best_range.lo = json::Value::Null();
+      best_range.lo_inclusive = false;
+    }
     plan.scan.kind = ScanKind::kIndexScan;
     plan.scan.index_name = best->name;
     plan.scan.range = best_range;
     plan.scan.index_key_paths = best->key_paths;
-    plan.scan.range_description = best_desc;
     // WHERE is fully absorbed when every conjunct is a sargable predicate
     // on the chosen leading key (or restates the partial-index predicate).
     plan.scan.where_consumed = true;
@@ -442,35 +425,35 @@ StatusOr<QueryPlan> PlanSelect(const SelectStatement& stmt,
         break;
       }
     }
-    if (coverable) {
-      bool all_covered = true;
-      for (const std::string& p : referenced) {
-        if (std::find(best->key_paths.begin(), best->key_paths.end(), p) ==
-            best->key_paths.end()) {
-          all_covered = false;
-          break;
-        }
-      }
-      plan.scan.covering = all_covered;
-    }
+    plan.scan.covering =
+        referenced.has_value() &&
+        std::all_of(referenced->begin(), referenced->end(),
+                    [&](const std::string& p) {
+                      return std::find(best->key_paths.begin(),
+                                       best->key_paths.end(),
+                                       p) != best->key_paths.end();
+                    });
     return plan;
   }
 
-  // 3. Fall back to the primary index (full or id-ranged scan).
-  if (primary != nullptr) {
+  // 3. Fall back to the primary index (full or id-ranged scan). Its key is
+  // meta().id, which every entry carries, so it covers exactly the
+  // statements that reference no document path. META().id range
+  // predicates narrow the scan (this is what YCSB workload E does,
+  // §10.1.2).
+  for (const gsi::IndexDefinition& def : indexes) {
+    if (!def.is_primary) continue;
     plan.scan.kind = ScanKind::kPrimaryScan;
-    plan.scan.index_name = primary->name;
-    if (has_id_range) {
-      plan.scan.range = id_range;
-      plan.scan.range_description = "meta().id range";
-    }
+    plan.scan.index_name = def.name;
     plan.scan.where_consumed = true;
-    for (size_t i = 0; i < conjuncts.size(); ++i) {
-      if (!sargs[i].has_value() || !sargs[i]->is_meta_id) {
+    for (const auto& s : sargs) {
+      if (s.has_value() && s->is_meta_id) {
+        NarrowRange(*s, &plan.scan.range);
+      } else {
         plan.scan.where_consumed = false;
-        break;
       }
     }
+    plan.scan.covering = referenced.has_value() && referenced->empty();
     return plan;
   }
   return Status::PlanError(

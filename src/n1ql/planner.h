@@ -1,7 +1,8 @@
 // The N1QL query planner (paper §4.5.3): picks the access path for each
-// keyspace — KeyScan (USE KEYS), IndexScan (a sargable secondary index,
-// possibly covering), or PrimaryScan (full scan via the primary index) —
-// and records it in a QueryPlan the executor then runs.
+// keyspace — KeyScan (USE KEYS), IndexScan (a sargable secondary index) or
+// PrimaryScan (a full or meta().id-ranged scan of the primary index), the
+// last two possibly covering — and records it in a QueryPlan the executor
+// then runs.
 #ifndef COUCHKV_N1QL_PLANNER_H_
 #define COUCHKV_N1QL_PLANNER_H_
 
@@ -27,9 +28,10 @@ struct ScanChoice {
   // kIndexScan / kPrimaryScan
   std::string index_name;
   gsi::ScanRange range;  // bounds derived from sargable predicates
+  // True when the index entries alone answer the query, so no document is
+  // fetched. The primary index covers statements that read only meta().id.
   bool covering = false;
   std::vector<std::string> index_key_paths;  // for covering reconstruction
-  std::string range_description;             // for EXPLAIN
   // True when the WHERE clause is entirely absorbed by the scan range, so
   // LIMIT can be pushed down into the index scan.
   bool where_consumed = false;

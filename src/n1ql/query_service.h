@@ -76,7 +76,8 @@ class QueryService {
                                          const QueryPlan& plan,
                                          const QueryOptions& opts,
                                          QueryMetrics* metrics);
-  // Parallel fetch of documents by id; missing ids are skipped.
+  // Parallel fetch of documents by id. Missing ids and non-JSON documents
+  // are skipped; any other Get failure is returned as the query's error.
   StatusOr<std::vector<ExecRow>> FetchRows(const std::string& bucket,
                                            const std::string& alias,
                                            const std::vector<std::string>& ids,

@@ -157,7 +157,7 @@ Status FaultyTransport::Admit(const Endpoint& src, const Endpoint& dst,
 
   // Partitions are configuration, not chance: they consume no RNG draw, so
   // blocking and healing a link does not perturb its decision stream.
-  if (Blocked(src, dst)) {
+  if (Blocked(src, dst) || FaultsFor(key).blocked) {
     ++stats_.blocked;
     Record(state, "BLOCKED");
     TransportMetrics::Instance().OnBlocked(src, dst);

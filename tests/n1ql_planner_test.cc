@@ -154,6 +154,99 @@ TEST(PlannerTest, MetaIdRangeOnPrimary) {
   EXPECT_TRUE(plan->scan.where_consumed);  // LIMIT pushdown eligible
 }
 
+TEST(PlannerTest, PrimaryScanCoversMetaIdOnlyQuery) {
+  auto stmt = Parse(
+      "SELECT META(b).id AS id FROM b WHERE META(b).id >= 'user1' LIMIT 5");
+  auto plan = PlanSelect(stmt, {Index("#primary", {}, true)}, {});
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->scan.kind, ScanKind::kPrimaryScan);
+  EXPECT_TRUE(plan->scan.covering);
+  // Unqualified meta() and a full scan with no WHERE are covered too.
+  for (const char* q : {"SELECT meta().id FROM b WHERE meta().id < 'x'",
+                        "SELECT COUNT(*) AS n FROM b"}) {
+    plan = PlanSelect(Parse(q), {Index("#primary", {}, true)}, {});
+    ASSERT_TRUE(plan.ok()) << q;
+    EXPECT_TRUE(plan->scan.covering) << q;
+  }
+}
+
+TEST(PlannerTest, PrimaryScanNotCoveringWhenBodyNeeded) {
+  for (const char* q : {
+           "SELECT * FROM b WHERE META(b).id >= 'a'",
+           "SELECT META(b).cas FROM b WHERE META(b).id >= 'a'",
+           "SELECT META(b).id FROM b WHERE META(b).id >= 'a' AND age > 1",
+           "SELECT name FROM b WHERE META(b).id >= 'a'",
+           "SELECT b FROM b WHERE META(b).id >= 'a'",
+           "SELECT META(b).id FROM b WHERE META(b).id >= 'a' ORDER BY name",
+           "SELECT CASE WHEN META(b).id > 'a' THEN name END AS n FROM b "
+           "WHERE META(b).id >= 'a'",
+           "SELECT META(b).id FROM b WHERE META(b).id >= 'a' "
+           "GROUP BY META(b).id HAVING MAX(age) > 1",
+           "SELECT META(b).id FROM b JOIN c ON KEYS b.ref "
+           "WHERE META(b).id >= 'a'",
+       }) {
+    auto plan = PlanSelect(Parse(q), {Index("#primary", {}, true)}, {});
+    ASSERT_TRUE(plan.ok()) << q;
+    EXPECT_EQ(plan->scan.kind, ScanKind::kPrimaryScan) << q;
+    EXPECT_FALSE(plan->scan.covering) << q;
+  }
+}
+
+TEST(PlannerTest, ExplainListsFetchOnlyWhenNotCovered) {
+  auto count_fetch = [](const Value& described) {
+    int n = 0;
+    for (const Value& op : described.Field("operators").AsArray()) {
+      if (op.Field("#operator").AsString() == "Fetch") ++n;
+    }
+    return n;
+  };
+  auto covered = Parse("SELECT META(b).id FROM b WHERE META(b).id >= 'a'");
+  auto plan = PlanSelect(covered, {Index("#primary", {}, true)}, {});
+  ASSERT_TRUE(plan.ok());
+  Value described = plan->Describe(covered);
+  EXPECT_TRUE(described.GetPath("operators[0].covering").AsBool());
+  EXPECT_EQ(described.GetPath("operators[0].range").AsString(), ">= \"a\"");
+  EXPECT_EQ(count_fetch(described), 0);
+
+  auto fetched = Parse("SELECT name FROM b WHERE META(b).id >= 'a'");
+  plan = PlanSelect(fetched, {Index("#primary", {}, true)}, {});
+  ASSERT_TRUE(plan.ok());
+  described = plan->Describe(fetched);
+  EXPECT_FALSE(described.GetPath("operators[0].covering").AsBool());
+  EXPECT_EQ(count_fetch(described), 1);
+}
+
+TEST(PlannerTest, UpperBoundOnlyRangeStartsAboveNull) {
+  auto stmt = Parse("SELECT age FROM b WHERE age < 5 LIMIT 5");
+  auto plan = PlanSelect(stmt, {Index("by_age", {"age"})}, {});
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(plan->scan.range.lo.has_value());
+  EXPECT_TRUE(plan->scan.range.lo->is_null());
+  EXPECT_FALSE(plan->scan.range.lo_inclusive);
+  EXPECT_EQ(plan->scan.range.hi->AsInt(), 5);
+  EXPECT_TRUE(plan->scan.where_consumed);
+}
+
+TEST(PlannerTest, RepeatedBoundsIntersect) {
+  // The looser predicate comes last; the range must still be the tighter.
+  auto stmt = Parse("SELECT age FROM b WHERE age >= 10 AND age >= 5");
+  auto plan = PlanSelect(stmt, {Index("by_age", {"age"})}, {});
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->scan.range.lo->AsInt(), 10);
+  EXPECT_TRUE(plan->scan.range.lo_inclusive);
+
+  // On a tie the exclusive bound wins, whichever comes first.
+  stmt = Parse(
+      "SELECT META(b).id FROM b WHERE META(b).id > 'k' AND META(b).id >= 'k'"
+      " AND META(b).id <= 'z' AND META(b).id < 'z'");
+  plan = PlanSelect(stmt, {Index("#primary", {}, true)}, {});
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->scan.range.lo->AsString(), "k");
+  EXPECT_FALSE(plan->scan.range.lo_inclusive);
+  EXPECT_EQ(plan->scan.range.hi->AsString(), "z");
+  EXPECT_FALSE(plan->scan.range.hi_inclusive);
+}
+
 TEST(PlannerTest, ResidualPredicateBlocksPushdown) {
   auto stmt = Parse("SELECT age FROM b WHERE age > 5 AND name = 'x'");
   auto plan = PlanSelect(stmt, {Index("by_age", {"age"})}, {});

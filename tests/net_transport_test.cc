@@ -189,6 +189,16 @@ TEST(FaultyTransportTest, ClientFaultsApplyToClientLinksOnly) {
   EXPECT_TRUE(t.Request(kN0, kN1).ok());   // node -> node unaffected
 }
 
+TEST(FaultyTransportTest, BlockedFaultsArePartitions) {
+  FaultyTransport t(1);
+  t.SetClientFaults(LinkFaults{.blocked = true});
+  EXPECT_FALSE(t.Request(kC, kN0).ok());
+  EXPECT_FALSE(t.Reply(kC, kN0).ok());
+  EXPECT_TRUE(t.Request(kN0, kN1).ok());
+  EXPECT_EQ(t.stats().blocked, 2u);
+  EXPECT_EQ(t.stats().dropped, 0u);
+}
+
 TEST(FaultyTransportTest, ResetRestoresPerfectNetwork) {
   FaultyTransport t(1);
   LinkFaults f;
