@@ -184,8 +184,7 @@ Status VBucket::ApplyXdcr(const kv::Document& doc) {
 
 void VBucket::ApplyReplicated(const kv::Document& doc) {
   LockGuard lock(op_mu_);
-  ht_.ApplyRemote(doc);
-  Emit(doc);
+  if (ht_.ApplyRemote(doc)) Emit(doc);
 }
 
 }  // namespace couchkv::cluster

@@ -111,7 +111,8 @@ class VBucket {
   // --- Replication-state operations ---
 
   // Applies a mutation received over DCP (replica / rebalance apply path).
-  // Feeds the sink so the mutation persists and re-streams.
+  // Feeds the sink so the mutation persists and re-streams. A version no
+  // newer than the one held for the key is dropped, sink included.
   void ApplyReplicated(const kv::Document& doc) EXCLUDES(op_mu_);
 
   // Applies a document arriving over XDCR, running conflict resolution

@@ -304,10 +304,11 @@ StatusOr<DocMeta> HashTable::SetWithMeta(const Document& doc) {
   return pos->second.meta;
 }
 
-void HashTable::ApplyRemote(const Document& doc) {
+bool HashTable::ApplyRemote(const Document& doc) {
   LockGuard lock(mu_);
   auto it = map_.find(doc.key);
   if (it != map_.end()) {
+    if (it->second.meta.seqno >= doc.meta.seqno) return false;
     AccountRemove(it->first, it->second);
     StoredValue& sv = it->second;
     sv.meta = doc.meta;
@@ -329,6 +330,7 @@ void HashTable::ApplyRemote(const Document& doc) {
   uint64_t cur = high_seqno_.load();
   while (seqno > cur && !high_seqno_.compare_exchange_weak(cur, seqno)) {
   }
+  return true;
 }
 
 uint64_t HashTable::EvictTo(uint64_t target_bytes) {

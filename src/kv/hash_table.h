@@ -142,8 +142,12 @@ class HashTable {
   void MarkClean(std::string_view key, uint64_t seqno) EXCLUDES(mu_);
 
   // Applies a replicated/DCP mutation as-is (no new seqno generated); used
-  // by replica vBuckets.
-  void ApplyRemote(const Document& doc) EXCLUDES(mu_);
+  // by replica vBuckets. Returns false, changing nothing, when the key
+  // already holds this or a newer seqno: two streams can feed one vBucket
+  // (a replica stream and a rebalance mover), and one stream's storage
+  // backfill can carry an older version of a key than the other already
+  // delivered from memory.
+  bool ApplyRemote(const Document& doc) EXCLUDES(mu_);
 
   // XDCR target apply with conflict resolution (paper §4.6.1): the incoming
   // document wins if it has more updates (higher revno), with the CAS as

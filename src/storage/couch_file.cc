@@ -142,6 +142,7 @@ Status CouchFile::Recover() {
     COUCHKV_RETURN_IF_ERROR(file_->Truncate(last_commit_end));
   }
   committed_size_ = last_commit_end;
+  tail_ = last_commit_end;
   return Status::OK();
 }
 
@@ -158,13 +159,20 @@ void CouchFile::IndexDoc(const std::string& key, const IndexEntry& e) {
   if (e.seqno > high_seqno_) high_seqno_ = e.seqno;
 }
 
+StatusOr<uint64_t> CouchFile::AppendRecord(std::string_view record) {
+  if (file_->Size() != tail_) COUCHKV_RETURN_IF_ERROR(file_->Truncate(tail_));
+  auto off_or = file_->Append(record);
+  if (off_or.ok()) tail_ = off_or.value() + record.size();
+  return off_or;
+}
+
 Status CouchFile::AppendDoc(const kv::Document& doc, uint64_t* offset,
                             uint32_t* size) {
   std::string payload;
   EncodeDocPayload(doc, &payload);
   std::string record;
   FrameRecord(kRecordDoc, payload, &record);
-  auto off_or = file_->Append(record);
+  auto off_or = AppendRecord(record);
   if (!off_or.ok()) return off_or.status();
   *offset = off_or.value();
   *size = static_cast<uint32_t>(record.size());
@@ -200,7 +208,7 @@ Status CouchFile::Commit() {
   PutU64(&payload, live_bytes_);
   std::string record;
   FrameRecord(kRecordCommit, payload, &record);
-  auto off_or = file_->Append(record);
+  auto off_or = AppendRecord(record);
   if (!off_or.ok()) return off_or.status();
   COUCHKV_RETURN_IF_ERROR(file_->Sync());
   committed_size_ = file_->Size();
@@ -367,6 +375,7 @@ Status CouchFile::CompactLocked(uint64_t purge_before_seqno,
   by_seqno_ = std::move(new_by_seqno);
   live_bytes_ = new_live;
   committed_size_ = file_->Size();
+  tail_ = committed_size_;
   ++num_compactions_;
   if (counters_.compactions != nullptr) {
     counters_.compactions->Add();

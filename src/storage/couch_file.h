@@ -123,6 +123,10 @@ class CouchFile {
       REQUIRES(mu_);
   Status AppendDoc(const kv::Document& doc, uint64_t* offset, uint32_t* size)
       REQUIRES(mu_);
+  // Appends one framed record at the end of the last whole record. A failed
+  // append may have left a torn prefix behind; it is cut off before the
+  // next append, or recovery would stop at it and lose every commit after.
+  StatusOr<uint64_t> AppendRecord(std::string_view record) REQUIRES(mu_);
   // Reads and decodes one doc record from `file` — which must be a pin
   // obtained from file_ under mu_ (or a compaction temp file), so the read
   // itself can run lock-free against the immutable pinned contents.
@@ -147,6 +151,8 @@ class CouchFile {
   uint64_t high_seqno_ GUARDED_BY(mu_) = 0;
   // File size at last commit (recovery point).
   uint64_t committed_size_ GUARDED_BY(mu_) = 0;
+  // End of the last whole record; bytes past it are a torn append.
+  uint64_t tail_ GUARDED_BY(mu_) = 0;
   uint64_t live_bytes_ GUARDED_BY(mu_) = 0;
   uint64_t num_commits_ GUARDED_BY(mu_) = 0;
   uint64_t num_compactions_ GUARDED_BY(mu_) = 0;

@@ -31,7 +31,7 @@ class File {
   // Durability barrier (fsync). MemEnv treats this as a no-op but counts it.
   virtual Status Sync() = 0;
 
-  // Truncates to `size` (used to drop a torn tail during recovery).
+  // Truncates to `size` (used to drop a torn tail).
   virtual Status Truncate(uint64_t size) = 0;
 };
 

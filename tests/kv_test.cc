@@ -295,6 +295,28 @@ TEST_F(HashTableTest, ApplyRemotePreservesMetadata) {
   EXPECT_EQ(ht_.high_seqno(), 42u);
 }
 
+// A rebalance can feed one vBucket from two streams, and a storage
+// backfill can deliver an older version of a key after the newer one: the
+// stale version must not overwrite it.
+TEST_F(HashTableTest, ApplyRemoteIgnoresOlderVersions) {
+  Document doc;
+  doc.key = "r";
+  doc.value = "new";
+  doc.meta.seqno = 5;
+  EXPECT_TRUE(ht_.ApplyRemote(doc));
+  doc.value = "old";
+  doc.meta.seqno = 4;
+  EXPECT_FALSE(ht_.ApplyRemote(doc));
+  EXPECT_FALSE(ht_.ApplyRemote(doc));
+  doc.meta.seqno = 5;
+  EXPECT_FALSE(ht_.ApplyRemote(doc));  // redelivery
+  auto r = ht_.Get("r");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->doc.value, "new");
+  EXPECT_EQ(r->doc.meta.seqno, 5u);
+  EXPECT_EQ(ht_.high_seqno(), 5u);
+}
+
 TEST_F(HashTableTest, MarkCleanAdvancesPersistedSeqno) {
   ASSERT_TRUE(ht_.Set("a", "1", 0, 0, 0).ok());
   ASSERT_TRUE(ht_.Set("b", "2", 0, 0, 0).ok());

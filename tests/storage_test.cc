@@ -348,6 +348,33 @@ TEST_F(FaultyCouchFileTest, TornCommitFooterRecoversToLastGoodCommit) {
   EXPECT_EQ((*reopened)->high_seqno(), 1u);
 }
 
+// A torn append that the writer survives (the flusher retries the batch)
+// must not strand later commits behind its garbage: recovery stops at the
+// first bad record, so the torn prefix is cut off before the next append.
+TEST_F(FaultyCouchFileTest, CommitsAfterTornAppendSurviveRecovery) {
+  auto fenv = MakeFaulty();
+  auto cf = CouchFile::Open(fenv.get(), path_).value();
+  ASSERT_TRUE(cf->SaveDocs({MakeDoc("a", "v1", 1)}).ok());
+  ASSERT_TRUE(cf->Commit().ok());
+
+  fenv->TearNextAppend(5);
+  EXPECT_TRUE(cf->SaveDocs({MakeDoc("a", "v2", 2)}).IsIOError());
+  ASSERT_TRUE(cf->SaveDocs({MakeDoc("a", "v2", 2)}).ok());
+  fenv->TearNextAppend(3);
+  EXPECT_TRUE(cf->Commit().IsIOError());  // torn commit footer
+  ASSERT_TRUE(cf->SaveDocs({MakeDoc("a", "v2", 2), MakeDoc("c", "v3", 3)})
+                  .ok());
+  ASSERT_TRUE(cf->Commit().ok());
+  EXPECT_EQ(fenv->stats().appends_torn, 2u);
+
+  cf.reset();
+  auto reopened = CouchFile::Open(fenv.get(), path_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->Get("a")->value, "v2");
+  EXPECT_EQ((*reopened)->Get("c")->value, "v3");
+  EXPECT_EQ((*reopened)->high_seqno(), 3u);
+}
+
 TEST_F(FaultyCouchFileTest, CompactFailureLeavesOriginalReadableAndRearmed) {
   auto fenv = MakeFaulty();
   auto cf = CouchFile::Open(fenv.get(), path_).value();
