@@ -15,15 +15,17 @@
 #include "common/synchronization.h"
 #include "gsi/index_defs.h"
 #include "gsi/indexer.h"
+#include "kv/doc.h"
 #include "stats/registry.h"
 
 namespace couchkv::gsi {
 
-// Evaluates the map from a document version to its secondary keys.
+// Evaluates the map from a document version to its index keys. A deletion
+// has none. The primary index keys every live version by its id without
+// parsing the body; a secondary index parses it and skips non-JSON bodies.
 // Exposed for unit testing; the projector calls this per mutation.
 std::vector<json::Value> ProjectKeys(const IndexDefinition& def,
-                                     const std::string& doc_id,
-                                     const json::Value* doc /*null=deleted*/);
+                                     const kv::Document& version);
 
 struct IndexStats {
   std::string name;

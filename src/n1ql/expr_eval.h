@@ -18,6 +18,8 @@ struct BoundDoc {
   json::Value value;
   std::string meta_id;
   uint64_t meta_cas = 0;
+  // The body is not JSON; `value` is then the "<binary (N b)>" placeholder.
+  bool binary = false;
 };
 
 // One row flowing through the execution pipeline: alias -> document.

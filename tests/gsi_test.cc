@@ -12,11 +12,17 @@ using json::Value;
 
 // --- ProjectKeys (the Projector's evaluation) ---
 
+kv::Document Version(std::string key, std::string value) {
+  kv::Document doc;
+  doc.key = std::move(key);
+  doc.value = std::move(value);
+  return doc;
+}
+
 TEST(ProjectKeysTest, SimpleKey) {
   IndexDefinition def;
   def.key_paths = {"email"};
-  auto doc = json::Parse(R"({"email":"a@b.com"})").value();
-  auto keys = ProjectKeys(def, "d1", &doc);
+  auto keys = ProjectKeys(def, Version("d1", R"({"email":"a@b.com"})"));
   ASSERT_EQ(keys.size(), 1u);
   EXPECT_EQ(keys[0].AsString(), "a@b.com");
 }
@@ -24,21 +30,24 @@ TEST(ProjectKeysTest, SimpleKey) {
 TEST(ProjectKeysTest, MissingLeadingKeySkipsDoc) {
   IndexDefinition def;
   def.key_paths = {"email"};
-  auto doc = json::Parse(R"({"name":"x"})").value();
-  EXPECT_TRUE(ProjectKeys(def, "d1", &doc).empty());
+  EXPECT_TRUE(ProjectKeys(def, Version("d1", R"({"name":"x"})")).empty());
 }
 
 TEST(ProjectKeysTest, DeletionDropsEntries) {
   IndexDefinition def;
   def.key_paths = {"email"};
-  EXPECT_TRUE(ProjectKeys(def, "d1", nullptr).empty());
+  kv::Document tombstone = Version("d1", "");
+  tombstone.meta.deleted = true;
+  EXPECT_TRUE(ProjectKeys(def, tombstone).empty());
+  def.key_paths.clear();
+  def.is_primary = true;
+  EXPECT_TRUE(ProjectKeys(def, tombstone).empty());
 }
 
 TEST(ProjectKeysTest, CompositeKey) {
   IndexDefinition def;
   def.key_paths = {"last", "first"};
-  auto doc = json::Parse(R"({"last":"B","first":"D"})").value();
-  auto keys = ProjectKeys(def, "d1", &doc);
+  auto keys = ProjectKeys(def, Version("d1", R"({"last":"B","first":"D"})"));
   ASSERT_EQ(keys.size(), 1u);
   ASSERT_TRUE(keys[0].is_array());
   EXPECT_EQ(keys[0].At(0).AsString(), "B");
@@ -51,18 +60,16 @@ TEST(ProjectKeysTest, PartialIndexFilter) {
   def.where_fn = [](const Value& doc) {
     return doc.Field("age").is_number() && doc.Field("age").AsNumber() > 21;
   };
-  auto young = json::Parse(R"({"age":18})").value();
-  auto adult = json::Parse(R"({"age":30})").value();
-  EXPECT_TRUE(ProjectKeys(def, "d", &young).empty());
-  EXPECT_EQ(ProjectKeys(def, "d", &adult).size(), 1u);
+  EXPECT_TRUE(ProjectKeys(def, Version("d", R"({"age":18})")).empty());
+  EXPECT_EQ(ProjectKeys(def, Version("d", R"({"age":30})")).size(), 1u);
 }
 
 TEST(ProjectKeysTest, ArrayIndexOneEntryPerElement) {
   IndexDefinition def;
   def.key_paths = {"categories"};
   def.array_index = true;
-  auto doc = json::Parse(R"({"categories":["a","b","c"]})").value();
-  auto keys = ProjectKeys(def, "d", &doc);
+  auto keys =
+      ProjectKeys(def, Version("d", R"({"categories":["a","b","c"]})"));
   ASSERT_EQ(keys.size(), 3u);
   EXPECT_EQ(keys[1].AsString(), "b");
 }
@@ -70,10 +77,22 @@ TEST(ProjectKeysTest, ArrayIndexOneEntryPerElement) {
 TEST(ProjectKeysTest, PrimaryIndexUsesDocId) {
   IndexDefinition def;
   def.is_primary = true;
-  auto doc = json::Parse("{}").value();
-  auto keys = ProjectKeys(def, "the-id", &doc);
+  auto keys = ProjectKeys(def, Version("the-id", "{}"));
   ASSERT_EQ(keys.size(), 1u);
   EXPECT_EQ(keys[0].AsString(), "the-id");
+}
+
+// The primary index holds every document; a secondary index only JSON ones.
+TEST(ProjectKeysTest, NonJsonBodyKeyedOnlyByPrimary) {
+  kv::Document blob = Version("blob", "\x01not json");
+  IndexDefinition primary;
+  primary.is_primary = true;
+  auto keys = ProjectKeys(primary, blob);
+  ASSERT_EQ(keys.size(), 1u);
+  EXPECT_EQ(keys[0].AsString(), "blob");
+  IndexDefinition secondary;
+  secondary.key_paths = {"email"};
+  EXPECT_TRUE(ProjectKeys(secondary, blob).empty());
 }
 
 // --- IndexPartition ---
