@@ -56,6 +56,9 @@ Bucket::Bucket(BucketConfig config, NodeId node_id, storage::Env* env,
 
 Bucket::~Bucket() {
   stop_.store(true);
+  // Taking queue_mu_ pairs with the flusher's untimed wait: it either sees
+  // stop_ before sleeping or is woken by this notify.
+  { LockGuard lock(queue_mu_); }
   queue_cv_.NotifyAll();
   if (flusher_.joinable()) flusher_.join();
   dispatcher_->RemoveProducer(producer_);
@@ -113,6 +116,10 @@ void Bucket::EnqueueForPersistence(uint16_t vb, const kv::Document& doc) {
     inserted = shard.items.insert_or_assign({vb, doc.key}, doc).second;
   }
   if (inserted && queued_.fetch_add(1) == 0) {
+    // The flusher checks queued_ under queue_mu_ before its untimed wait;
+    // taking the mutex here means it either sees this item or gets the
+    // notify.
+    { LockGuard lock(queue_mu_); }
     queue_cv_.NotifyOne();
   }
   UpdateBackpressure();
@@ -156,16 +163,14 @@ void Bucket::FlusherLoop() {
     std::map<std::pair<uint16_t, std::string>, kv::Document> batch;
     {
       UniqueLock lock(queue_mu_);
-      // The deadline bounds the flush latency even if a notify is lost (the
-      // enqueue fast path deliberately avoids taking queue_mu_).
-      auto deadline = std::chrono::steady_clock::now() +
-                      std::max(backoff, std::chrono::milliseconds(1));
-      while (!stop_.load() && queued_.load() == 0) {
-        if (!queue_cv_.WaitUntil(lock, deadline)) break;
-      }
-      if (backoff.count() > 0 && !stop_.load() && !stop_hard_.load()) {
-        // A failed pass re-enqueued its docs, so queued_ > 0 and the wait
-        // above returned immediately; honor the backoff before retrying.
+      if (backoff.count() == 0) {
+        // No deadline: the 0->1 enqueue and the stop paths notify under
+        // queue_mu_, so no wakeup is lost.
+        while (!stop_.load() && queued_.load() == 0) queue_cv_.Wait(lock);
+      } else {
+        // A failed pass re-enqueued its docs; honor the backoff before
+        // retrying.
+        auto deadline = std::chrono::steady_clock::now() + backoff;
         while (std::chrono::steady_clock::now() < deadline &&
                !stop_.load() && !stop_hard_.load()) {
           if (!queue_cv_.WaitUntil(lock, deadline)) break;
@@ -288,7 +293,6 @@ StatusOr<uint64_t> Bucket::Warmup() {
 
 void Bucket::FlushAll() {
   UniqueLock lock(queue_mu_);
-  queue_cv_.NotifyAll();
   while (queued_.load() > 0 || flushing_.load()) {
     flush_cv_.Wait(lock);
   }
@@ -297,6 +301,7 @@ void Bucket::FlushAll() {
 void Bucket::Kill() {
   stop_hard_.store(true);
   stop_.store(true);
+  { LockGuard lock(queue_mu_); }  // see ~Bucket
   queue_cv_.NotifyAll();
   if (flusher_.joinable()) flusher_.join();
   flush_cv_.NotifyAll();
@@ -342,7 +347,6 @@ Status Bucket::WaitForPersistence(uint16_t vb, uint64_t seqno,
                                   uint64_t timeout_ms) {
   VBucket* v = vbuckets_[vb].get();
   UniqueLock lock(queue_mu_);
-  queue_cv_.NotifyAll();
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(timeout_ms);
   while (v->persisted_seqno() < seqno) {

@@ -757,7 +757,7 @@ Status Cluster::WaitForDurability(const std::string& bucket, uint16_t vb,
 
   uint64_t deadline =
       opts_.clock->NowMillis() + dur.timeout_ms;
-  // The active node's flusher is woken once to shorten the persistence wait.
+  // Wait on the active's flush signal first rather than spinning.
   if (dur.persist_to > 0) {
     Node* an = node(e.active);
     if (an != nullptr) {
@@ -784,7 +784,6 @@ Status Cluster::WaitForDurability(const std::string& bucket, uint16_t vb,
         ++persisted;  // active's persistence counts toward persist_to
         active_persisted = true;
       }
-      an->dispatcher()->Notify();
     }
     for (NodeId r : e.replicas) {
       Node* rn = node(r);

@@ -62,6 +62,7 @@ DcpCounters DcpCounters::In(stats::Scope* scope) {
   c.items_appended = scope->GetCounter("dcp.items_appended");
   c.items_delivered = scope->GetCounter("dcp.items_delivered");
   c.backfill_items = scope->GetCounter("dcp.backfill_items");
+  c.stream_pumps = scope->GetCounter("dcp.stream_pumps");
   return c;
 }
 
@@ -69,16 +70,25 @@ Producer::Producer(uint16_t num_vbuckets, BackfillFn backfill,
                    const DcpCounters* counters)
     : num_vbuckets_(num_vbuckets),
       backfill_(std::move(backfill)),
-      counters_(counters != nullptr ? *counters : DcpCounters{}) {
+      counters_(counters != nullptr ? *counters : DcpCounters{}),
+      by_vbucket_(num_vbuckets),
+      queued_(std::make_unique<std::atomic<bool>[]>(num_vbuckets)) {
   logs_.reserve(num_vbuckets_);
   for (uint16_t i = 0; i < num_vbuckets_; ++i) {
     logs_.push_back(std::make_unique<ChangeLog>());
   }
 }
 
+void Producer::MarkReady(uint16_t vbucket) {
+  if (queued_[vbucket].exchange(true, std::memory_order_acq_rel)) return;
+  LockGuard lock(ready_mu_);
+  ready_.push_back(vbucket);
+}
+
 void Producer::OnMutation(uint16_t vbucket, kv::Document doc) {
   logs_[vbucket]->Append(std::move(doc));
   if (counters_.items_appended != nullptr) counters_.items_appended->Add();
+  MarkReady(vbucket);
 }
 
 StatusOr<uint64_t> Producer::AddStream(const std::string& name,
@@ -92,10 +102,15 @@ StatusOr<uint64_t> Producer::AddStream(const std::string& name,
   stream->vbucket = vbucket;
   stream->next_seqno.store(from_seqno + 1, std::memory_order_relaxed);
   stream->fn = std::move(fn);
-  LockGuard lock(mu_);
-  stream->id = next_stream_id_++;
-  streams_[stream->id] = stream;
-  return stream->id;
+  uint64_t id;
+  {
+    LockGuard lock(mu_);
+    id = stream->id = next_stream_id_++;
+    streams_[id] = stream;
+    by_vbucket_[vbucket].push_back(std::move(stream));
+  }
+  MarkReady(vbucket);
+  return id;
 }
 
 void Producer::RemoveStream(uint64_t stream_id) {
@@ -106,6 +121,7 @@ void Producer::RemoveStream(uint64_t stream_id) {
     if (it == streams_.end()) return;
     victim = it->second;
     streams_.erase(it);
+    std::erase(by_vbucket_[victim->vbucket], victim);
   }
   // Barrier: wait out any in-flight delivery and mark the stream closed so
   // a pumper that snapshotted it before the erase skips it.
@@ -119,6 +135,7 @@ void Producer::RemoveStreamsNamed(const std::string& name) {
     LockGuard lock(mu_);
     for (auto it = streams_.begin(); it != streams_.end();) {
       if (it->second->name == name) {
+        std::erase(by_vbucket_[it->second->vbucket], it->second);
         victims.push_back(it->second);
         it = streams_.erase(it);
       } else {
@@ -176,14 +193,17 @@ bool Producer::BackfillStream(Stream& s, uint64_t window_start,
   return !stalled;
 }
 
-bool Producer::PumpStream(Stream& s, size_t batch_per_stream) {
+bool Producer::PumpStream(Stream& s, size_t batch_per_stream, bool* more) {
   bool delivered = false;
   ChangeLog& log = *logs_[s.vbucket];
 
   if (!s.backfill_done) {
     uint64_t window_start = log.start_seqno();
     if (s.next_seqno.load(std::memory_order_relaxed) < window_start) {
-      if (!BackfillStream(s, window_start, &delivered)) return delivered;
+      if (!BackfillStream(s, window_start, &delivered)) {
+        *more = true;
+        return delivered;
+      }
     }
     s.backfill_done = true;
   }
@@ -191,6 +211,7 @@ bool Producer::PumpStream(Stream& s, size_t batch_per_stream) {
   std::vector<kv::Document> batch;
   log.ReadSince(s.next_seqno.load(std::memory_order_relaxed) - 1,
                 batch_per_stream, &batch);
+  if (batch.size() == batch_per_stream) *more = true;
   for (kv::Document& doc : batch) {
     // Skip already-delivered seqnos.
     if (doc.meta.seqno < s.next_seqno.load(std::memory_order_relaxed)) {
@@ -202,7 +223,10 @@ bool Producer::PumpStream(Stream& s, size_t batch_per_stream) {
     // Advance only after a successful delivery: a failed (dropped /
     // partitioned) delivery stalls the stream so the mutation is retried
     // rather than lost.
-    if (!s.fn(m).ok()) break;
+    if (!s.fn(m).ok()) {
+      *more = true;
+      break;
+    }
     s.next_seqno.store(m.doc.meta.seqno + 1, std::memory_order_relaxed);
     delivered = true;
     if (counters_.items_delivered != nullptr) counters_.items_delivered->Add();
@@ -211,27 +235,52 @@ bool Producer::PumpStream(Stream& s, size_t batch_per_stream) {
 }
 
 bool Producer::PumpOnce(size_t batch_per_stream) {
-  // Snapshot the stream set, then deliver without holding the map lock so
+  LockGuard pump_lock(pump_mu_);
+  std::vector<uint16_t> vbuckets;
+  {
+    LockGuard lock(ready_mu_);
+    vbuckets.swap(ready_);
+  }
+  if (vbuckets.empty()) return false;
+  // Clear each flag before reading its logs: a mutation appended after the
+  // clear queues its vBucket again, so none is missed.
+  for (uint16_t vb : vbuckets) queued_[vb].store(false);
+  // Snapshot the streams, then deliver without holding the map lock so
   // callbacks may add/remove streams.
   std::vector<std::shared_ptr<Stream>> snapshot;
   {
     LockGuard lock(mu_);
-    snapshot.reserve(streams_.size());
-    for (auto& [id, s] : streams_) snapshot.push_back(s);
+    for (uint16_t vb : vbuckets) {
+      snapshot.insert(snapshot.end(), by_vbucket_[vb].begin(),
+                      by_vbucket_[vb].end());
+    }
   }
 
   bool delivered = false;
+  uint64_t visited = 0;
   for (auto& s : snapshot) {
-    LockGuard delivery_lock(s->delivery_mu);
-    if (s->closed) continue;
-    if (PumpStream(*s, batch_per_stream)) delivered = true;
+    bool more = false;
+    {
+      LockGuard delivery_lock(s->delivery_mu);
+      if (s->closed) continue;
+      ++visited;
+      if (PumpStream(*s, batch_per_stream, &more)) delivered = true;
+    }
+    if (more) MarkReady(s->vbucket);
   }
+  if (counters_.stream_pumps != nullptr) counters_.stream_pumps->Add(visited);
   return delivered;
 }
 
 void Producer::Drain() {
   while (PumpOnce()) {
   }
+}
+
+bool Producer::HasReady() {
+  LockGuard pump_lock(pump_mu_);
+  LockGuard lock(ready_mu_);
+  return !ready_.empty();
 }
 
 uint64_t Producer::StreamSeqno(const std::string& name,
@@ -327,14 +376,22 @@ void Dispatcher::Stop() {
 
 void Dispatcher::Loop() {
   COUCHKV_ASSERT_AFFINE();
+  bool stalled = false;
   for (;;) {
     std::vector<std::shared_ptr<Producer>> snapshot;
     {
       UniqueLock lock(mu_);
+      // Every OnMutation/AddStream is followed by a Notify, so with nothing
+      // stalled the loop sleeps until one arrives. A stalled delivery is
+      // retried on a 5 ms tick: a healed link sends no Notify.
       auto deadline =
           std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
       while (!work_.load(std::memory_order_acquire) && !stop_) {
-        if (!cv_.WaitUntil(lock, deadline)) break;  // poll tick
+        if (!stalled) {
+          cv_.Wait(lock);
+        } else if (!cv_.WaitUntil(lock, deadline)) {
+          break;  // retry tick
+        }
       }
       if (stop_) return;
       work_.store(false, std::memory_order_release);
@@ -350,6 +407,12 @@ void Dispatcher::Loop() {
         LockGuard lock(mu_);
         if (stop_) return;
       }
+    }
+    // The last pass delivered nothing, so whatever is still ready is
+    // stalled (or arrived since, in which case work_ is set too).
+    stalled = false;
+    for (auto& p : snapshot) {
+      if (p->HasReady()) stalled = true;
     }
   }
 }

@@ -10,6 +10,18 @@
 // delivering mutations to stream callbacks in seqno order. If a stream
 // starts below the log's in-memory window, the gap is backfilled from the
 // storage engine through a caller-supplied BackfillFn.
+//
+// Delivery is event-driven (the ep-engine shape): the producer keeps a
+// ready queue of vBuckets with possible work. OnMutation and AddStream mark
+// their vBucket ready; a pump pass visits only the streams of ready
+// vBuckets and re-queues a vBucket whose stream filled its batch or
+// stalled on a failed delivery. The dispatcher sleeps without a deadline
+// while nothing is ready, and ticks every 5 ms only while a delivery is
+// stalled (a healed link must be retried even if no new write arrives).
+// A pump pass is a barrier: one pass runs per producer at a time, so a
+// synchronous drainer (Dispatcher::Quiesce, Producer::Drain, the rebalance
+// mover) cannot return while another pumper still holds a swapped-out
+// batch of ready vBuckets.
 #ifndef COUCHKV_DCP_DCP_H_
 #define COUCHKV_DCP_DCP_H_
 
@@ -37,6 +49,7 @@ struct DcpCounters {
   stats::Counter* items_appended = nullptr;   // mutations entering ChangeLogs
   stats::Counter* items_delivered = nullptr;  // successful stream deliveries
   stats::Counter* backfill_items = nullptr;   // of those, served from storage
+  stats::Counter* stream_pumps = nullptr;     // streams visited by pump passes
 
   // Resolves the "dcp.*" counters in `scope`.
   static DcpCounters In(stats::Scope* scope);
@@ -92,12 +105,14 @@ class Producer {
   Producer(uint16_t num_vbuckets, BackfillFn backfill,
            const DcpCounters* counters = nullptr);
 
-  // Appends a mutation for vb (called by the data service on every write,
-  // while holding the vBucket's op lock).
+  // Appends a mutation for vb and marks vb ready (called by the data
+  // service on every write, while holding the vBucket's op lock). The
+  // caller wakes the dispatcher with Dispatcher::Notify.
   void OnMutation(uint16_t vbucket, kv::Document doc);
 
   // Opens a stream delivering mutations with seqno > from_seqno for one
-  // vBucket. `name` identifies the consumer in stats. Returns a stream id.
+  // vBucket and marks that vBucket ready. `name` identifies the consumer in
+  // stats. Returns a stream id.
   StatusOr<uint64_t> AddStream(const std::string& name, uint16_t vbucket,
                                uint64_t from_seqno, MutationFn fn);
 
@@ -108,15 +123,20 @@ class Producer {
   // Removes every stream whose name matches (used when an index is dropped).
   void RemoveStreamsNamed(const std::string& name);
 
-  // Delivers pending mutations to all streams; returns true if any mutation
-  // was successfully delivered (i.e. call again). A stream whose callback
-  // fails stalls without counting as progress, so pump loops terminate even
-  // while a link is partitioned. Thread-safe, but normally driven by a
-  // single dispatcher thread.
+  // Delivers pending mutations to the streams of every ready vBucket;
+  // returns true if any mutation was successfully delivered (i.e. call
+  // again). A stream whose callback fails stalls without counting as
+  // progress, so pump loops terminate even while a link is partitioned; its
+  // vBucket stays ready for a later pass. Thread-safe: concurrent callers
+  // run their passes one at a time, each waiting out the one in flight.
   bool PumpOnce(size_t batch_per_stream = 256);
 
   // Pumps until no stream makes progress (all caught up or stalled).
   void Drain();
+
+  // True if some vBucket is ready after the pass in flight (if any) ends:
+  // after a pass without progress, that means a delivery is stalled.
+  bool HasReady();
 
   // Lowest acknowledged seqno across streams of `name` for `vbucket`
   // (UINT64_MAX when that consumer has no stream there).
@@ -153,24 +173,47 @@ class Producer {
   };
 
   // Delivers to one stream; returns true if any mutation went through.
-  bool PumpStream(Stream& s, size_t batch_per_stream)
+  // Sets *more when the stream filled its batch or stalled, so its vBucket
+  // must be pumped again.
+  bool PumpStream(Stream& s, size_t batch_per_stream, bool* more)
       REQUIRES(s.delivery_mu);
   // Serves the below-window gap from storage. Returns false if a delivery
   // stalled (retry on a later pump).
   bool BackfillStream(Stream& s, uint64_t window_start, bool* delivered)
       REQUIRES(s.delivery_mu);
 
+  // Queues vb for the next pump pass unless it is already queued.
+  void MarkReady(uint16_t vbucket);
+
   uint16_t num_vbuckets_;
   BackfillFn backfill_;
   DcpCounters counters_;  // null members = reporting disabled
   std::vector<std::unique_ptr<ChangeLog>> logs_;
 
-  mutable Mutex mu_{"dcp.producer_streams"};  // guards streams_ map (not delivery)
+  // Held across a whole pump pass, callbacks included: this is what makes
+  // a pass a barrier for synchronous drainers.
+  Mutex pump_mu_{"dcp.pump"};
+  mutable Mutex mu_{"dcp.producer_streams"};  // guards the stream maps (not delivery)
+  COUCHKV_LOCK_ORDER("dcp.pump", "dcp.stream_delivery");
+  COUCHKV_LOCK_ORDER("dcp.pump", "dcp.producer_streams");
+  COUCHKV_LOCK_ORDER("dcp.pump", "dcp.ready");
   COUCHKV_LOCK_ORDER("dcp.producer_streams", "dcp.changelog");
   COUCHKV_LOCK_ORDER("dcp.stream_delivery", "dcp.changelog");
   COUCHKV_LOCK_ORDER("cluster.vbucket.op", "dcp.changelog");
+  COUCHKV_LOCK_ORDER("cluster.vbucket.op", "dcp.ready");
   std::map<uint64_t, std::shared_ptr<Stream>> streams_ GUARDED_BY(mu_);
+  // The same streams indexed by vBucket, so a pass touches only the
+  // streams of ready vBuckets.
+  std::vector<std::vector<std::shared_ptr<Stream>>> by_vbucket_
+      GUARDED_BY(mu_);
   uint64_t next_stream_id_ GUARDED_BY(mu_) = 1;
+
+  // Ready queue: `queued_[vb]` is set while vb sits in `ready_`, so marking
+  // an already-queued vBucket costs one atomic exchange. dcp.ready is a
+  // leaf: nothing is acquired while holding it.
+  std::unique_ptr<std::atomic<bool>[]> queued_;
+  Mutex ready_mu_{"dcp.ready"};
+  std::vector<uint16_t> ready_ GUARDED_BY(ready_mu_);
 };
 
 // Background thread that keeps a set of producers pumped. One per node.
@@ -182,10 +225,13 @@ class Dispatcher {
   void AddProducer(std::shared_ptr<Producer> producer);
   void RemoveProducer(const std::shared_ptr<Producer>& producer);
 
-  // Wakes the pump thread (call after OnMutation for low latency).
+  // Wakes the pump thread; call after OnMutation or AddStream. Without it
+  // the thread sleeps until the next Notify, or the next 5 ms retry tick if
+  // a delivery is stalled.
   void Notify();
 
   // Synchronously pumps until all producers are drained (test determinism).
+  // Waits out any pass the pump thread has in flight.
   void Quiesce();
 
   void Stop();

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <thread>
 
 #include "client/smart_client.h"
+#include "cluster/bucket.h"
 #include "cluster/cluster.h"
 #include "cluster/health_monitor.h"
 #include "cluster/vbucket.h"
@@ -77,6 +83,71 @@ TEST(VBucketTest, FileIsReadableWhileOpLockHeld) {
   storage::CouchFile* seen = reinterpret_cast<storage::CouchFile*>(1);
   vb.WithOpLock([&] { seen = vb.file(); });
   EXPECT_EQ(seen, nullptr);  // no file attached; the point is it returned
+}
+
+// --- Flusher wakeups ---
+
+// One bucket on its own, with vBucket 0 active and nothing else running.
+// The flusher waits without a deadline while its queue is empty, so each
+// write has to wake it by itself.
+class FlusherTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    BucketConfig cfg;
+    cfg.name = "flusher";
+    bucket_ = std::make_unique<Bucket>(cfg, 0, env_.get(), Clock::Real(),
+                                       &dispatcher_);
+    ASSERT_TRUE(bucket_->SetVBucketState(0, VBucketState::kActive).ok());
+  }
+
+  // Writes one document and waits for it to reach disk. With no other
+  // traffic, a lost flusher wakeup shows as a Timeout.
+  Status WriteAndPersist(const std::string& key) {
+    auto meta = bucket_->vbucket(0)->Set(key, "v", 0, 0, 0);
+    if (!meta.ok()) return meta.status();
+    return bucket_->WaitForPersistence(0, meta->seqno, /*timeout_ms=*/30000);
+  }
+
+  // Runs fn on a thread of its own. If it has not returned within 30 s the
+  // flusher is stuck, and tearing the bucket down would hang the same way,
+  // so the test binary aborts instead of blocking forever.
+  static void ExpectReturns(std::function<void()> fn, const char* what) {
+    auto done = std::make_shared<std::promise<void>>();
+    std::future<void> returned = done->get_future();
+    std::thread([fn = std::move(fn), done] {
+      fn();
+      done->set_value();
+    }).detach();
+    if (returned.wait_for(std::chrono::seconds(30)) !=
+        std::future_status::ready) {
+      std::fprintf(stderr, "%s did not return within 30 s\n", what);
+      std::abort();
+    }
+  }
+
+  dcp::Dispatcher dispatcher_;  // outlives bucket_, which deregisters from it
+  std::unique_ptr<storage::Env> env_ = storage::Env::NewMemEnv();
+  std::unique_ptr<Bucket> bucket_;
+};
+
+TEST_F(FlusherTest, IdleBucketPersistsEverySingleWrite) {
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(WriteAndPersist("k" + std::to_string(i)).ok())
+        << "write " << i << " was never flushed";
+  }
+  EXPECT_EQ(bucket_->disk_queue_depth(), 0u);
+}
+
+TEST_F(FlusherTest, DestructorReturnsWhileFlusherIsParked) {
+  ASSERT_TRUE(WriteAndPersist("k").ok());
+  bucket_->FlushAll();  // the pass is over: the flusher goes back to waiting
+  ExpectReturns([this] { bucket_.reset(); }, "~Bucket");
+}
+
+TEST_F(FlusherTest, KillReturnsWhileFlusherIsParked) {
+  ASSERT_TRUE(WriteAndPersist("k").ok());
+  bucket_->FlushAll();
+  ExpectReturns([this] { bucket_->Kill(); }, "Bucket::Kill");
 }
 
 // --- Cluster fixture ---

@@ -1,12 +1,49 @@
 // Unit tests for the Database Change Protocol: change logs, streams,
-// backfill from storage, multiple consumers, dispatcher quiesce.
+// backfill from storage, multiple consumers, the ready queue, dispatcher
+// retries and quiesce.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
+
 #include "dcp/dcp.h"
+#include "stats/registry.h"
 #include "storage/couch_file.h"
 
 namespace couchkv::dcp {
 namespace {
+
+// Generous bound for waits on the dispatcher thread: long enough for any
+// ctest -j load, short enough that a lost wakeup fails instead of hanging.
+constexpr auto kDeadline = std::chrono::seconds(30);
+
+// A counter that tests wait on from another thread.
+class WaitableCount {
+ public:
+  void Add() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++n_;
+    }
+    cv_.notify_all();
+  }
+  int value() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return n_;
+  }
+  // True once the count reaches n; false if kDeadline passes first.
+  bool WaitFor(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, kDeadline, [&] { return n_ >= n; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int n_ = 0;
+};
 
 kv::Document Doc(const std::string& key, const std::string& value,
                  uint64_t seqno) {
@@ -179,11 +216,58 @@ TEST(ProducerTest, BackfillFromStorageCoversTrimmedWindow) {
   for (uint64_t i = 0; i < 100; ++i) EXPECT_EQ(seen[i], i + 1);
 }
 
+TEST(ProducerTest, ReadyQueuePumpsOnlyTouchedVBuckets) {
+  auto scope = stats::Registry::Global().GetScope("test.dcp.ready_queue");
+  DcpCounters counters = DcpCounters::In(scope.get());
+  constexpr uint16_t kVBuckets = 8;
+  Producer p(kVBuckets, nullptr, &counters);
+  std::vector<int> seen(kVBuckets, 0);
+  for (uint16_t vb = 0; vb < kVBuckets; ++vb) {
+    for (const char* name : {"a", "b"}) {
+      ASSERT_TRUE(p.AddStream(name, vb, 0, [&seen, vb](const kv::Mutation&) {
+                     ++seen[vb];
+                     return Status::OK();
+                   }).ok());
+    }
+  }
+  p.Drain();  // AddStream queued every vBucket: each stream visited once
+  const uint64_t after_open = counters.stream_pumps->Value();
+  EXPECT_EQ(after_open, 2u * kVBuckets);
+
+  for (uint64_t i = 1; i <= 5; ++i) p.OnMutation(3, Doc("k", "v", i));
+  p.Drain();
+  // Only vBucket 3's two streams were visited, in one pass.
+  EXPECT_EQ(counters.stream_pumps->Value() - after_open, 2u);
+  for (uint16_t vb = 0; vb < kVBuckets; ++vb) {
+    EXPECT_EQ(seen[vb], vb == 3 ? 10 : 0) << "vb " << vb;
+  }
+  p.Drain();  // nothing ready: no stream is visited
+  EXPECT_EQ(counters.stream_pumps->Value() - after_open, 2u);
+  stats::Registry::Global().DropScope(scope->name());
+}
+
+TEST(ProducerTest, FullBatchRequeuesVBucket) {
+  Producer p(1, nullptr);
+  int count = 0;
+  ASSERT_TRUE(p.AddStream("batched", 0, 0, [&](const kv::Mutation&) {
+                 ++count;
+                 return Status::OK();
+               }).ok());
+  for (uint64_t i = 1; i <= 10; ++i) p.OnMutation(0, Doc("k", "v", i));
+  EXPECT_TRUE(p.PumpOnce(/*batch_per_stream=*/4));
+  EXPECT_EQ(count, 4);
+  EXPECT_TRUE(p.HasReady());  // the batch filled: more may be pending
+  while (p.PumpOnce(4)) {
+  }
+  EXPECT_EQ(count, 10);
+  EXPECT_FALSE(p.HasReady());
+}
+
 TEST(DispatcherTest, DeliversAsynchronously) {
   auto p = std::make_shared<Producer>(1, nullptr);
-  std::atomic<int> count{0};
+  WaitableCount count;
   ASSERT_TRUE(p->AddStream("async", 0, 0, [&](const kv::Mutation&) {
-                 count.fetch_add(1);
+                 count.Add();
                  return Status::OK();
                }).ok());
   Dispatcher d;
@@ -192,11 +276,85 @@ TEST(DispatcherTest, DeliversAsynchronously) {
     p->OnMutation(0, Doc("k", "v", i));
     d.Notify();
   }
-  // Wait for async delivery.
-  for (int spin = 0; spin < 10000 && count.load() < 50; ++spin) {
-    std::this_thread::yield();
+  EXPECT_TRUE(count.WaitFor(50));
+  d.Stop();
+  EXPECT_EQ(count.value(), 50);
+}
+
+// A failed delivery stalls the stream. Nothing else happens afterwards: no
+// mutation, no Notify. The dispatcher's retry tick alone must deliver it,
+// as when a partitioned link heals.
+TEST(DispatcherTest, StalledStreamRetriesWithoutNewMutation) {
+  auto p = std::make_shared<Producer>(2, nullptr);
+  constexpr int kFailures = 3;
+  constexpr int kItems = 10;
+  std::atomic<int> attempts{0};
+  WaitableCount delivered;
+  ASSERT_TRUE(p->AddStream("flaky", 1, 0, [&](const kv::Mutation&) {
+                 if (attempts.fetch_add(1) < kFailures) {
+                   return Status::TempFail("link down");
+                 }
+                 delivered.Add();
+                 return Status::OK();
+               }).ok());
+  for (uint64_t i = 1; i <= kItems; ++i) p->OnMutation(1, Doc("k", "v", i));
+  Dispatcher d;
+  d.AddProducer(p);  // wakes the pump thread once
+  EXPECT_TRUE(delivered.WaitFor(kItems));
+  d.Stop();
+  EXPECT_EQ(delivered.value(), kItems);
+  EXPECT_EQ(attempts.load(), kItems + kFailures);
+}
+
+// Quiesce is a barrier: while the pump thread is inside a delivery
+// callback, a Quiesce from another thread must not return before that item
+// is delivered, even though the pump thread already took the vBucket off
+// the ready queue.
+TEST(DispatcherTest, QuiesceWaitsForInFlightPass) {
+  auto marker = std::make_shared<Producer>(1, nullptr);
+  auto blocked = std::make_shared<Producer>(1, nullptr);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false, released = false;
+  std::atomic<bool> delivered{false};
+  ASSERT_TRUE(blocked->AddStream("blocked", 0, 0, [&](const kv::Mutation&) {
+                 std::unique_lock<std::mutex> lock(mu);
+                 entered = true;
+                 cv.notify_all();
+                 EXPECT_TRUE(cv.wait_for(lock, kDeadline, [&] {
+                   return released;
+                 }));
+                 delivered.store(true);
+                 return Status::OK();
+               }).ok());
+  // Quiesce pumps `marker` before `blocked`; its callback, run by Quiesce,
+  // releases the pump thread just before Quiesce reaches `blocked`.
+  ASSERT_TRUE(marker->AddStream("marker", 0, 0, [&](const kv::Mutation&) {
+                 {
+                   std::lock_guard<std::mutex> lock(mu);
+                   released = true;
+                 }
+                 cv.notify_all();
+                 return Status::OK();
+               }).ok());
+
+  Dispatcher d;
+  d.AddProducer(marker);
+  d.AddProducer(blocked);
+  blocked->OnMutation(0, Doc("k", "v", 1));
+  d.Notify();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, kDeadline, [&] { return entered; }));
   }
-  EXPECT_EQ(count.load(), 50);
+  marker->OnMutation(0, Doc("m", "v", 1));  // no Notify: only Quiesce sees it
+  bool delivered_at_return = false;
+  std::thread quiescer([&] {
+    d.Quiesce();
+    delivered_at_return = delivered.load();
+  });
+  quiescer.join();
+  EXPECT_TRUE(delivered_at_return);
   d.Stop();
 }
 
