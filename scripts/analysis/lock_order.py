@@ -54,8 +54,6 @@ EXEMPT_FILES = {
     "common/synchronization.h",
     "common/lockdep.h",
     "common/lockdep.cc",
-    "common/affinity.h",
-    "common/affinity.cc",
 }
 
 # Declared edges that are POLICY, not nesting any test exercises: they pin a

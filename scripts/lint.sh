@@ -21,14 +21,13 @@ banned='std::mutex|std::shared_mutex|std::recursive_mutex|std::timed_mutex'
 banned+='|std::lock_guard|std::unique_lock|std::shared_lock|std::scoped_lock'
 banned+='|std::condition_variable'
 
-# lockdep.cc and affinity.cc are also exempt: the detectors cannot use the
-# instrumented wrappers for their own internal locks (the hooks would
-# recurse into themselves).
+# lockdep.cc is also exempt: the detector cannot use the instrumented
+# wrappers for its own internal locks (the hooks would recurse into
+# themselves).
 matches=$(grep -rnE "$banned" src/ \
     --include='*.h' --include='*.cc' \
     | grep -v 'src/common/synchronization.h' \
-    | grep -v 'src/common/lockdep.cc' \
-    | grep -v 'src/common/affinity.cc' || true)
+    | grep -v 'src/common/lockdep.cc' || true)
 if [[ -n "$matches" ]]; then
   echo "error: naked std synchronization primitives in src/ — use the" >&2
   echo "annotated types from common/synchronization.h instead:" >&2
@@ -157,22 +156,6 @@ if command -v python3 >/dev/null 2>&1; then
   fi
 else
   echo "note: python3 not installed; skipping lock-order analysis"
-fi
-
-# --- 8. Static execution-domain (thread-affinity) analysis -------------------
-# scripts/analysis/thread_affinity.py enforces spawn-site discipline (every
-# std::thread in src/ and tools/ declares its execution domain via a
-# ScopedDomain inside the spawn statement) and validates COUCHKV_AFFINE_TO
-# declarations. Same self-test-first pattern as the lock-order gate.
-if command -v python3 >/dev/null 2>&1; then
-  if ! python3 scripts/analysis/thread_affinity.py --self-test >/dev/null; then
-    echo "error: thread_affinity.py --self-test failed (analyzer is broken)" >&2
-    fail=1
-  elif ! python3 scripts/analysis/thread_affinity.py; then
-    fail=1
-  fi
-else
-  echo "note: python3 not installed; skipping thread-affinity analysis"
 fi
 
 if [[ $fail -eq 0 ]]; then

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
-#include "common/affinity.h"
-
 #include "common/logging.h"
+#include "common/thread_name.h"
 
 namespace couchkv::cluster {
 
@@ -49,7 +48,7 @@ Bucket::Bucket(BucketConfig config, NodeId node_id, storage::Env* env,
       &dcp_counters_);
   dispatcher_->AddProducer(producer_);
   flusher_ = std::thread([this] {
-    affinity::ScopedDomain domain("storage.flusher");
+    common::SetThreadName("storage.flusher");
     FlusherLoop();
   });
 }
@@ -152,7 +151,6 @@ void Bucket::UpdateBackpressure() {
 }
 
 void Bucket::FlusherLoop() {
-  COUCHKV_ASSERT_AFFINE();
   // Retry backoff after a failed pass: doubles up to the cap, resets on a
   // clean pass, so a dead disk is retried at a bounded rate instead of in a
   // hot loop, and a transient fault converges quickly.

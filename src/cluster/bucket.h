@@ -19,7 +19,6 @@
 #include "cluster/vbucket.h"
 #include "common/clock.h"
 #include "common/status.h"
-#include "common/affinity.h"
 #include "common/synchronization.h"
 #include "dcp/dcp.h"
 #include "stats/registry.h"
@@ -179,9 +178,6 @@ class Bucket {
   std::atomic<bool> disk_unhealthy_{false};
   std::atomic<bool> backpressure_{false};
   Mutex storage_mu_{"cluster.bucket.storage"};  // serializes lazy CouchFile creation
-  // The flusher loop body (batch collection, SaveDocs, commit bookkeeping)
-  // runs only on this bucket's flusher thread.
-  COUCHKV_AFFINE_TO("cluster.bucket.flusher_loop", "storage.flusher");
   std::thread flusher_;
 };
 

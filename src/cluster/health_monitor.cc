@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/affinity.h"
 #include "common/logging.h"
+#include "common/thread_name.h"
 #include "net/transport.h"
 
 namespace couchkv::cluster {
@@ -41,7 +41,7 @@ void HealthMonitor::Start() {
   stop_ = false;
   running_ = true;
   thread_ = std::thread([this] {
-    affinity::ScopedDomain domain("cluster.health");
+    common::SetThreadName("cluster.health");
     ThreadMain();
   });
 }
@@ -59,7 +59,6 @@ void HealthMonitor::Stop() {
 }
 
 void HealthMonitor::ThreadMain() {
-  COUCHKV_ASSERT_AFFINE();
   for (;;) {
     {
       UniqueLock lock(thread_mu_);

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "common/affinity.h"
 #include "common/synchronization.h"
 #include "stats/registry.h"
 
@@ -138,10 +137,6 @@ class HealthMonitor {
   int failovers_ GUARDED_BY(mu_) = 0;
   int budget_used_ GUARDED_BY(mu_) = 0;
 
-  // ThreadMain (probe rounds + orchestration) runs only on the monitor's
-  // ticker thread; TickOnce alone is also driven directly by tests, so the
-  // assert guards the loop, not the tick.
-  COUCHKV_AFFINE_TO("cluster.health.ticker", "cluster.health");
   Mutex thread_mu_{"cluster.health.thread"};
   CondVar thread_cv_;
   bool stop_ GUARDED_BY(thread_mu_) = false;

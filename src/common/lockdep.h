@@ -19,8 +19,8 @@
 //   * condvar waits entered while holding any lock besides the waited one
 //     (the held lock blocks for an unbounded time);
 //   * ScopedBlockingCall sites (disk I/O, socket round-trips) reached while
-//     a lock class flagged kHotPath is held — the inventory the
-//     thread-per-core hot-path rework needs.
+//     a lock class flagged kHotPath is held: I/O under kv.hash_table
+//     stalls every op on that vBucket for as long as the I/O takes.
 //
 // Everything here is compiled out to zero-cost no-ops unless the build sets
 // -DCOUCHKV_LOCKDEP (CMake: -DCOUCHKV_LOCKDEP=ON).

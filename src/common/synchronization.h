@@ -22,15 +22,7 @@
 #include <mutex>
 #include <shared_mutex>
 
-#include "common/affinity.h"
 #include "common/lockdep.h"
-
-// Either diagnostic layer (lock-order detection, execution-domain
-// observation) needs the wrappers to carry per-instance class ids; both
-// compile out of normal builds.
-#if defined(COUCHKV_LOCKDEP) || defined(COUCHKV_AFFINITY)
-#define COUCHKV_SYNC_INSTRUMENTED 1
-#endif
 
 // --- Attribute macros (the canonical set from the Clang TSA docs) ---
 
@@ -95,9 +87,6 @@ class CAPABILITY("mutex") Mutex {
 #if defined(COUCHKV_LOCKDEP)
     class_id_ = lockdep::RegisterInstance(lock_class, lockdep_flags);
 #endif
-#if defined(COUCHKV_AFFINITY)
-    aff_id_ = affinity::RegisterLockClass(lock_class);
-#endif
     (void)lock_class;
     (void)lockdep_flags;
   }
@@ -107,7 +96,6 @@ class CAPABILITY("mutex") Mutex {
   void Lock() ACQUIRE() {
     lockdep::OnAcquire(this, class_id(), /*shared=*/false);
     mu_.lock();
-    affinity::OnLockAcquired(aff_id(), /*shared=*/false);
   }
   void Unlock() RELEASE() {
     mu_.unlock();
@@ -117,7 +105,6 @@ class CAPABILITY("mutex") Mutex {
     bool ok = mu_.try_lock();
     if (ok) {
       lockdep::OnTryAcquired(this, class_id(), /*shared=*/false);
-      affinity::OnLockAcquired(aff_id(), /*shared=*/false);
     }
     return ok;
   }
@@ -136,12 +123,6 @@ class CAPABILITY("mutex") Mutex {
 #else
   static constexpr uint32_t class_id() { return 0; }
 #endif
-#if defined(COUCHKV_AFFINITY)
-  uint32_t aff_id() const { return aff_id_; }
-  uint32_t aff_id_;
-#else
-  static constexpr uint32_t aff_id() { return 0; }
-#endif
   std::mutex mu_;
 };
 
@@ -155,9 +136,6 @@ class CAPABILITY("shared_mutex") SharedMutex {
 #if defined(COUCHKV_LOCKDEP)
     class_id_ = lockdep::RegisterInstance(lock_class, lockdep_flags);
 #endif
-#if defined(COUCHKV_AFFINITY)
-    aff_id_ = affinity::RegisterLockClass(lock_class);
-#endif
     (void)lock_class;
     (void)lockdep_flags;
   }
@@ -167,7 +145,6 @@ class CAPABILITY("shared_mutex") SharedMutex {
   void Lock() ACQUIRE() {
     lockdep::OnAcquire(this, class_id(), /*shared=*/false);
     mu_.lock();
-    affinity::OnLockAcquired(aff_id(), /*shared=*/false);
   }
   void Unlock() RELEASE() {
     mu_.unlock();
@@ -176,7 +153,6 @@ class CAPABILITY("shared_mutex") SharedMutex {
   void LockShared() ACQUIRE_SHARED() {
     lockdep::OnAcquire(this, class_id(), /*shared=*/true);
     mu_.lock_shared();
-    affinity::OnLockAcquired(aff_id(), /*shared=*/true);
   }
   void UnlockShared() RELEASE_SHARED() {
     mu_.unlock_shared();
@@ -192,12 +168,6 @@ class CAPABILITY("shared_mutex") SharedMutex {
   uint32_t class_id_;
 #else
   static constexpr uint32_t class_id() { return 0; }
-#endif
-#if defined(COUCHKV_AFFINITY)
-  uint32_t aff_id() const { return aff_id_; }
-  uint32_t aff_id_;
-#else
-  static constexpr uint32_t aff_id() { return 0; }
 #endif
   std::shared_mutex mu_;
 };
@@ -252,14 +222,13 @@ class SCOPED_CAPABILITY UniqueLock {
  public:
   explicit UniqueLock(Mutex& mu) ACQUIRE(mu)
       : lock_(mu.mu_, std::defer_lock)
-#if defined(COUCHKV_SYNC_INSTRUMENTED)
+#if defined(COUCHKV_LOCKDEP)
         ,
         mu_(&mu)
 #endif
   {
     lockdep::OnAcquire(&mu, mu.class_id(), /*shared=*/false);
     lock_.lock();
-    affinity::OnLockAcquired(mu.aff_id(), /*shared=*/false);
   }
   // Releases iff still held (std::unique_lock semantics).
   ~UniqueLock() RELEASE() {
@@ -279,9 +248,6 @@ class SCOPED_CAPABILITY UniqueLock {
     lockdep::OnAcquire(mu_, mu_->class_id(), /*shared=*/false);
 #endif
     lock_.lock();
-#if defined(COUCHKV_AFFINITY)
-    affinity::OnLockAcquired(mu_->aff_id(), /*shared=*/false);
-#endif
   }
   void Unlock() RELEASE() {
     lock_.unlock();
@@ -293,8 +259,8 @@ class SCOPED_CAPABILITY UniqueLock {
  private:
   friend class CondVar;
   std::unique_lock<std::mutex> lock_;
-#if defined(COUCHKV_SYNC_INSTRUMENTED)
-  // The wrapped mutex, for release/condvar-hold/affinity hooks; compiled
+#if defined(COUCHKV_LOCKDEP)
+  // The wrapped mutex, for the release and condvar-hold hooks; compiled
   // out of normal builds so the wrapper stays the size of std::unique_lock.
   Mutex* mu_;
 #endif

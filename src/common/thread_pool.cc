@@ -1,6 +1,6 @@
 #include "common/thread_pool.h"
 
-#include "common/affinity.h"
+#include "common/thread_name.h"
 
 namespace couchkv {
 
@@ -9,7 +9,7 @@ ThreadPool::ThreadPool(size_t num_threads) {
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this] {
-      affinity::ScopedDomain domain("thread_pool.worker");
+      common::SetThreadName("pool.worker");
       WorkerLoop();
     });
   }
@@ -38,7 +38,6 @@ void ThreadPool::Wait() {
 }
 
 void ThreadPool::WorkerLoop() {
-  COUCHKV_ASSERT_AFFINE();
   for (;;) {
     std::function<void()> task;
     {

@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/affinity.h"
 #include "common/synchronization.h"
 
 namespace couchkv {
@@ -34,9 +33,6 @@ class ThreadPool {
   void WorkerLoop() EXCLUDES(mu_);
   bool Idle() const REQUIRES(mu_) { return queue_.empty() && active_ == 0; }
 
-  // WorkerLoop bodies run only on pool workers; the queue itself is
-  // multi-domain by design (any domain may Submit).
-  COUCHKV_AFFINE_TO("thread_pool.worker_loop", "thread_pool.worker");
   Mutex mu_{"thread_pool.pool"};
   CondVar cv_;       // wakes workers
   CondVar idle_cv_;  // wakes Wait()

@@ -2,8 +2,8 @@
 
 #include <thread>
 
-#include "common/affinity.h"
 #include "common/logging.h"
+#include "common/thread_name.h"
 
 namespace couchkv::dcp {
 
@@ -319,7 +319,7 @@ uint64_t Producer::TotalBacklog() const {
 
 Dispatcher::Dispatcher()
     : thread_([this] {
-        affinity::ScopedDomain domain("dcp.producer");
+        common::SetThreadName("dcp.producer");
         Loop();
       }) {}
 
@@ -375,7 +375,6 @@ void Dispatcher::Stop() {
 }
 
 void Dispatcher::Loop() {
-  COUCHKV_ASSERT_AFFINE();
   bool stalled = false;
   for (;;) {
     std::vector<std::shared_ptr<Producer>> snapshot;

@@ -35,7 +35,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/affinity.h"
 #include "common/status.h"
 #include "common/synchronization.h"
 #include "kv/doc.h"
@@ -239,9 +238,6 @@ class Dispatcher {
  private:
   void Loop();
 
-  // Loop runs only on the dispatcher's pump thread. Quiesce deliberately
-  // pumps producers from the calling thread, so only the loop asserts.
-  COUCHKV_AFFINE_TO("dcp.dispatcher.pump", "dcp.producer");
   Mutex mu_{"dcp.dispatcher"};
   CondVar cv_;
   std::vector<std::shared_ptr<Producer>> producers_ GUARDED_BY(mu_);

@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/thread_name.h"
 
 namespace couchkv::net {
 
@@ -43,8 +44,6 @@ TcpServer::TcpServer(Handler handler, Options opts)
   stat_protocol_errors_ = scope_->GetCounter("server.protocol_errors");
   stat_bytes_in_ = scope_->GetCounter("server.bytes_in");
   stat_bytes_out_ = scope_->GetCounter("server.bytes_out");
-  stat_rx_bytes_ = scope_->GetCounter("rx_bytes");
-  stat_tx_bytes_ = scope_->GetCounter("tx_bytes");
   stats::Counter* unknown = scope_->GetCounter("ops.UNKNOWN");
   for (int op = 0; op < 256; ++op) {
     const uint8_t code = static_cast<uint8_t>(op);
@@ -98,7 +97,7 @@ Status TcpServer::Start() {
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] {
-    affinity::ScopedDomain domain("net.accept");
+    common::SetThreadName("net.accept");
     AcceptLoop();
   });
   return Status::OK();
@@ -144,7 +143,6 @@ void TcpServer::ReapFinished() {
 }
 
 void TcpServer::AcceptLoop() {
-  COUCHKV_ASSERT_AFFINE();
   while (!stopping_.load(std::memory_order_acquire)) {
     const int lfd = listen_fd_.load(std::memory_order_acquire);
     if (lfd < 0) break;  // Stop() retired the listener
@@ -166,14 +164,13 @@ void TcpServer::AcceptLoop() {
       conns_.push_back(std::move(conn));
     }
     raw->thread = std::thread([this, raw] {
-      affinity::ScopedDomain domain("net.conn");
+      common::SetThreadName("net.conn");
       ConnLoop(raw);
     });
   }
 }
 
 void TcpServer::ConnLoop(Conn* conn) {
-  conn_affine_.AssertAffine();
   wire::FrameDecoder decoder(wire::kMagicRequest, opts_.max_frame_body);
   char buf[64 << 10];
   bool alive = true;
@@ -182,7 +179,6 @@ void TcpServer::ConnLoop(Conn* conn) {
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // EOF or error: peer is gone
     stat_bytes_in_->Add(static_cast<uint64_t>(n));
-    stat_rx_bytes_->Add(static_cast<uint64_t>(n));
     RequestContext ctx;
     ctx.received_nanos = opts_.clock->NowNanos();
     decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
@@ -227,7 +223,6 @@ void TcpServer::ConnLoop(Conn* conn) {
         break;
       }
       stat_bytes_out_->Add(bytes.size());
-      stat_tx_bytes_->Add(bytes.size());
     }
   }
   ::shutdown(conn->fd, SHUT_RDWR);

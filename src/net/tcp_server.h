@@ -19,7 +19,6 @@
 
 #include "common/clock.h"
 #include "common/status.h"
-#include "common/affinity.h"
 #include "common/synchronization.h"
 #include "net/wire/wire.h"
 #include "stats/registry.h"
@@ -102,12 +101,6 @@ class TcpServer {
   // long-lived server does not accumulate dead thread objects).
   void ReapFinished() EXCLUDES(mu_);
 
-  // The accept loop runs only on the listener thread; each ConnLoop runs
-  // only on its connection's thread (one checker per loop — the macro form
-  // owns the class's affine_checker_ slot, the second is a named member).
-  COUCHKV_AFFINE_TO("net.tcp_server.accept_loop", "net.accept");
-  affinity::Affine conn_affine_{"net.tcp_server.conn_loop", "net.conn"};
-
   Handler handler_;
   Options opts_;
 
@@ -133,12 +126,9 @@ class TcpServer {
   stats::Counter* stat_protocol_errors_ = nullptr;
   stats::Counter* stat_bytes_in_ = nullptr;
   stats::Counter* stat_bytes_out_ = nullptr;
-  // Satellite names for the same byte totals (wire.rx_bytes/tx_bytes) plus
-  // one wire.ops.<NAME> counter per opcode, resolved once at construction so
-  // the per-frame increment is a single relaxed add. Unknown opcodes share
-  // the ops.UNKNOWN slot.
-  stats::Counter* stat_rx_bytes_ = nullptr;
-  stats::Counter* stat_tx_bytes_ = nullptr;
+  // One wire.ops.<NAME> counter per opcode, resolved once at construction
+  // so the per-frame increment is a single relaxed add. Unknown opcodes
+  // share the ops.UNKNOWN slot.
   stats::Counter* stat_ops_[256] = {};
 };
 

@@ -66,6 +66,29 @@ TEST(LockdepDeathTest, InversionReportNamesBothEdges) {
       "\"lockdep_test\\.rpt_a\"");
 }
 
+// The inversion is a property of the CLASSES, not of the instances: a1->b1
+// and b2->a2 share no mutex, yet the code paths behind them deadlock once
+// two threads run them on the same pair of instances. TSan tracks instances
+// and stays silent on this sequence (checked with GCC 12); this case is why
+// lockdep is kept (DESIGN.md "Runtime lock-order detection (lockdep)").
+TEST(LockdepDeathTest, CrossInstanceInversionAborts) {
+  SKIP_UNLESS_LOCKDEP();
+  EXPECT_DEATH(
+      {
+        Mutex a1{"lockdep_test.xinst_a"};
+        Mutex a2{"lockdep_test.xinst_a"};
+        Mutex b1{"lockdep_test.xinst_b"};
+        Mutex b2{"lockdep_test.xinst_b"};
+        {
+          LockGuard la(a1);
+          LockGuard lb(b1);  // edge xinst_a -> xinst_b
+        }
+        LockGuard lb(b2);
+        LockGuard la(a2);  // edge xinst_b -> xinst_a closes the cycle
+      },
+      "lock-order inversion");
+}
+
 // Consistent A-then-B ordering from many threads is NOT an inversion: the
 // suite reaching the end of this test (no abort) is the assertion.
 TEST(LockdepTest, ConsistentOrderingNoFalsePositive) {

@@ -469,9 +469,15 @@ TEST_F(WireConformanceTest, ClientRediscoversRestartedListener) {
   // Bootstrap off node 1 only, so losing node 0's listener cannot strand
   // the client's map fetches.
   client::WireClient client({ports_[1]}, "default");
+  // A crash drops writes the flusher has not committed yet, so only
+  // persist-acked writes are promised to be readable after the restart.
+  client::WriteOptions persisted;
+  persisted.durability = cluster::Durability::Persist(1);
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(
-        client.Upsert("rk" + std::to_string(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(client
+                    .Upsert("rk" + std::to_string(i), "v" + std::to_string(i),
+                            persisted)
+                    .ok());
   }
 
   ASSERT_TRUE(cluster_.CrashNode(0).ok());

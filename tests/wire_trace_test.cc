@@ -368,9 +368,10 @@ TEST_F(WireTraceClusterTest, WireStatsExposedOverStatAndPrometheus) {
   ASSERT_TRUE(stats_json.ok()) << stats_json.status().ToString();
   auto doc = json::Parse(*stats_json);
   ASSERT_TRUE(doc.ok());
-  EXPECT_TRUE(doc->Field("wire.rx_bytes").is_number());
-  EXPECT_TRUE(doc->Field("wire.tx_bytes").is_number());
-  EXPECT_GT(doc->Field("wire.rx_bytes").AsInt(), 0);
+  EXPECT_TRUE(doc->Field("wire.server.bytes_in").is_number());
+  EXPECT_TRUE(doc->Field("wire.server.bytes_out").is_number());
+  EXPECT_GT(doc->Field("wire.server.bytes_in").AsInt(), 0);
+  EXPECT_GT(doc->Field("wire.server.bytes_out").AsInt(), 0);
   EXPECT_TRUE(doc->Field("wire.ops.SET").is_number());
   EXPECT_GT(doc->Field("wire.ops.SET").AsInt(), 0);
   bool found_hist = false;
@@ -385,7 +386,7 @@ TEST_F(WireTraceClusterTest, WireStatsExposedOverStatAndPrometheus) {
   // The same counters ride the existing Prometheus exposition.
   std::string prom =
       stats::ToPrometheusText(stats::Registry::Global().Collect("wire"));
-  EXPECT_NE(prom.find("couchkv_wire_rx_bytes"), std::string::npos);
+  EXPECT_NE(prom.find("couchkv_wire_server_bytes_in"), std::string::npos);
   EXPECT_NE(prom.find("couchkv_wire_ops_SET"), std::string::npos);
 }
 

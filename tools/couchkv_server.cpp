@@ -15,7 +15,6 @@
 #include <string>
 
 #include "cluster/cluster.h"
-#include "common/affinity.h"
 
 namespace {
 
@@ -29,7 +28,6 @@ void Usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  couchkv::affinity::ScopedDomain main_domain("main");
   int nodes = 3;
   std::string bucket = "default";
   uint32_t replicas = 1;
