@@ -66,7 +66,17 @@ struct IndexEntry {
   std::string doc_id;
 };
 
-// Range bounds for a scan; unset bounds are unbounded.
+// The order of entries in an index partition and in every scan result.
+struct EntryLess {
+  bool operator()(const IndexEntry& a, const IndexEntry& b) const {
+    int c = json::Value::Compare(a.key, b.key);
+    if (c != 0) return c < 0;
+    return a.doc_id < b.doc_id;
+  }
+};
+
+// Range bounds for a scan; unset bounds are unbounded. On a composite index
+// the bounds apply to the leading key.
 struct ScanRange {
   std::optional<json::Value> lo;
   std::optional<json::Value> hi;

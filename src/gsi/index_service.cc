@@ -48,6 +48,34 @@ std::vector<json::Value> ProjectKeys(const IndexDefinition& def,
   return {make_key(leading)};
 }
 
+namespace {
+
+// Merges scan runs that are each in (key, doc_id) order into one such run
+// of at most `limit` entries. A single run is returned as it is. There are
+// few partitions, so each output entry is the least head of all runs.
+std::vector<IndexEntry> MergeRuns(std::vector<std::vector<IndexEntry>> runs,
+                                  size_t limit) {
+  if (runs.size() == 1) return std::move(runs[0]);
+  const EntryLess less;
+  std::vector<size_t> heads(runs.size(), 0);
+  std::vector<IndexEntry> merged;
+  while (merged.size() < limit) {
+    size_t best = runs.size();
+    for (size_t i = 0; i < runs.size(); ++i) {
+      if (heads[i] == runs[i].size()) continue;
+      if (best == runs.size() ||
+          less(runs[i][heads[i]], runs[best][heads[best]])) {
+        best = i;
+      }
+    }
+    if (best == runs.size()) break;
+    merged.push_back(std::move(runs[best][heads[best]++]));
+  }
+  return merged;
+}
+
+}  // namespace
+
 Status IndexService::CreateIndex(IndexDefinition def) {
   if (def.name.empty() || def.bucket.empty()) {
     return Status::InvalidArgument("index needs name and bucket");
@@ -290,14 +318,15 @@ StatusOr<std::vector<IndexEntry>> IndexService::Scan(
     COUCHKV_RETURN_IF_ERROR(WaitUntilCaughtUp(bucket, name));
   }
   span.Phase("barrier");
-  // Scatter: scan each partition on its index node; gather: merge in key
-  // order. Each partition scan is one round trip on the query-service ->
-  // index-node link, retried a few times under transient faults.
+  // Scatter: scan each partition on its index node; gather: merge the
+  // partitions' runs, each already in (key, doc_id) order. Each partition
+  // scan is one round trip on the query-service -> index-node link, retried
+  // a few times under transient faults.
   net::Transport* t = cluster_->transport();
-  std::vector<IndexEntry> merged;
+  std::vector<std::vector<IndexEntry>> runs(state->partitions.size());
   for (size_t i = 0; i < state->partitions.size(); ++i) {
     IndexPartition* p = state->partitions[i].get();
-    std::vector<IndexEntry> part;
+    std::vector<IndexEntry>& part = runs[i];
     Status st = Status::OK();
     for (int attempt = 0; attempt < 16; ++attempt) {
       if (attempt > 0) scan_retries_->Add();
@@ -311,17 +340,8 @@ StatusOr<std::vector<IndexEntry>> IndexService::Scan(
       std::this_thread::yield();
     }
     if (!st.ok()) return st;  // partition unreachable: the scan fails whole
-    merged.insert(merged.end(), std::make_move_iterator(part.begin()),
-                  std::make_move_iterator(part.end()));
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const IndexEntry& a, const IndexEntry& b) {
-              int c = json::Value::Compare(a.key, b.key);
-              if (c != 0) return c < 0;
-              return a.doc_id < b.doc_id;
-            });
-  if (merged.size() > limit) merged.resize(limit);
-  return merged;
+  return MergeRuns(std::move(runs), limit);
 }
 
 IndexStats IndexService::Stats(const std::string& bucket,

@@ -58,7 +58,8 @@ class IndexService : public cluster::ClusterService,
 
   // --- Scans ---
   // Range scan with the requested consistency. The result merges all
-  // partitions in key order (scatter/gather for partitioned GSI).
+  // partitions in (key, doc_id) order (scatter/gather for partitioned GSI).
+  // On a composite index the range bounds the leading key.
   StatusOr<std::vector<IndexEntry>> Scan(const std::string& bucket,
                                          const std::string& name,
                                          const ScanRange& range, size_t limit,

@@ -54,7 +54,7 @@ void IndexPartition::Apply(const KeyVersion& kv) {
   auto prev = back_.find(kv.doc_id);
   if (prev != back_.end()) {
     for (const json::Value& old_key : prev->second) {
-      tree_.erase(TreeKey{old_key, kv.doc_id});
+      tree_.erase(IndexEntry{old_key, kv.doc_id});
     }
     back_.erase(prev);
   }
@@ -62,7 +62,7 @@ void IndexPartition::Apply(const KeyVersion& kv) {
   std::vector<json::Value> owned;
   for (const json::Value& key : kv.keys) {
     if (!OwnsKey(key)) continue;
-    tree_[TreeKey{key, kv.doc_id}] = kv.vbucket;
+    tree_[IndexEntry{key, kv.doc_id}] = kv.vbucket;
     owned.push_back(key);
   }
   if (!owned.empty()) back_[kv.doc_id] = std::move(owned);
@@ -73,21 +73,30 @@ void IndexPartition::Apply(const KeyVersion& kv) {
 
 std::vector<IndexEntry> IndexPartition::Scan(const ScanRange& range,
                                              size_t limit) const {
+  // A composite key is the array [k0, k1, ...], and the range bounds its
+  // leading element k0. Arrays compare element by element and a prefix sorts
+  // first, so [lo] precedes every key whose leading element is >= lo.
+  const bool composite = def_.key_paths.size() > 1;
+  auto leading = [composite](const json::Value& key) -> const json::Value& {
+    return composite ? key.At(0) : key;
+  };
   ReaderLockGuard lock(mu_);
   std::vector<IndexEntry> out;
   auto it = tree_.begin();
   if (range.lo.has_value()) {
-    it = tree_.lower_bound(TreeKey{*range.lo, ""});
+    json::Value start =
+        composite ? json::Value::MakeArray({*range.lo}) : *range.lo;
+    it = tree_.lower_bound(IndexEntry{std::move(start), ""});
     if (!range.lo_inclusive) {
       while (it != tree_.end() &&
-             json::Value::Compare(it->first.key, *range.lo) == 0) {
+             json::Value::Compare(leading(it->first.key), *range.lo) == 0) {
         ++it;
       }
     }
   }
   for (; it != tree_.end() && out.size() < limit; ++it) {
     if (range.hi.has_value()) {
-      int c = json::Value::Compare(it->first.key, *range.hi);
+      int c = json::Value::Compare(leading(it->first.key), *range.hi);
       if (c > 0 || (c == 0 && !range.hi_inclusive)) break;
     }
     out.push_back(IndexEntry{it->first.key, it->first.doc_id});

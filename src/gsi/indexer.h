@@ -64,16 +64,6 @@ class IndexPartition {
   uint64_t log_sync_failures() const { return sync_failures_.load(); }
 
  private:
-  struct TreeKey {
-    json::Value key;
-    std::string doc_id;
-    bool operator<(const TreeKey& other) const {
-      int c = json::Value::Compare(key, other.key);
-      if (c != 0) return c < 0;
-      return doc_id < other.doc_id;
-    }
-  };
-
   void LogApply(const KeyVersion& kv) REQUIRES(mu_);
 
   IndexDefinition def_;
@@ -91,7 +81,8 @@ class IndexPartition {
   mutable SharedMutex mu_{"gsi.indexer"};
   COUCHKV_LOCK_ORDER("gsi.index_service", "gsi.indexer");
   COUCHKV_LOCK_ORDER("gsi.indexer", "storage.mem_file");
-  std::map<TreeKey, uint16_t> tree_ GUARDED_BY(mu_);  // value: owning vbucket
+  // Entries in (key, doc_id) order; value: the owning vBucket.
+  std::map<IndexEntry, uint16_t, EntryLess> tree_ GUARDED_BY(mu_);
   // Back-index: doc_id -> keys currently indexed here (for removal).
   std::unordered_map<std::string, std::vector<json::Value>> back_
       GUARDED_BY(mu_);

@@ -5,7 +5,7 @@ namespace couchkv::n1ql {
 using json::Value;
 
 StatusOr<Value> ComputeAggregate(const Expr& agg, const std::vector<Row>& rows,
-                                 const std::string& default_alias,
+                                 std::string_view default_alias,
                                  const std::vector<Value>& params) {
   std::vector<Value> inputs;
   inputs.reserve(rows.size());

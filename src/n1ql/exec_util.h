@@ -3,6 +3,7 @@
 #ifndef COUCHKV_N1QL_EXEC_UTIL_H_
 #define COUCHKV_N1QL_EXEC_UTIL_H_
 
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -14,7 +15,7 @@ namespace couchkv::n1ql {
 // Computes one aggregate call over the rows of a group.
 StatusOr<json::Value> ComputeAggregate(const Expr& agg,
                                        const std::vector<Row>& rows,
-                                       const std::string& default_alias,
+                                       std::string_view default_alias,
                                        const std::vector<json::Value>& params);
 
 // Evaluates a LIMIT/OFFSET expression to a count; `fallback` when null.

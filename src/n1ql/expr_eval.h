@@ -3,8 +3,10 @@
 #ifndef COUCHKV_N1QL_EXPR_EVAL_H_
 #define COUCHKV_N1QL_EXPR_EVAL_H_
 
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -22,16 +24,18 @@ struct BoundDoc {
   bool binary = false;
 };
 
-// One row flowing through the execution pipeline: alias -> document.
+// One row flowing through the execution pipeline: alias -> document. The
+// transparent comparator lets a borrowed alias look up its binding.
 struct Row {
-  std::map<std::string, BoundDoc> bindings;
+  std::map<std::string, BoundDoc, std::less<>> bindings;
 };
 
 struct EvalContext {
   const Row* row = nullptr;
   // The FROM alias used to resolve unqualified paths (e.g. `name` in
-  // SELECT name FROM profiles).
-  std::string default_alias;
+  // SELECT name FROM profiles). Borrowed: the statement owns the string and
+  // outlives every context built while it runs.
+  std::string_view default_alias;
   // Positional parameters ($1 is params[0]).
   const std::vector<json::Value>* params = nullptr;
   // Pre-computed aggregate results keyed by normalized expression text

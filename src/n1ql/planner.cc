@@ -54,6 +54,10 @@ struct Sarg {
   BinaryOp op;
   json::Value bound;      // evaluated constant
   bool is_meta_id = false;
+  // The bound is NULL or MISSING, so the comparison is never true. The
+  // predicate still picks and narrows a scan, but no key range expresses
+  // it: it stays in the Filter, which drops every row.
+  bool never_true = false;
 };
 
 // Evaluates an expression that must be constant (literals / parameters /
@@ -117,6 +121,7 @@ std::optional<Sarg> MatchSarg(const Expr& e, const std::string& alias,
     }
   }
   s->op = op;
+  s->never_true = bound->is_null() || bound->is_missing();
   s->bound = std::move(*bound);
   return s;
 }
@@ -294,7 +299,7 @@ json::Value QueryPlan::Describe(const SelectStatement& stmt) const {
     }
     ops.Append(std::move(op));
   }
-  if (stmt.where != nullptr) {
+  if (RunsFilter(stmt)) {
     json::Value filter = json::Value::MakeObject();
     filter["#operator"] = json::Value::Str("Filter");
     filter["condition"] = json::Value::Str(stmt.where->ToString());
@@ -411,13 +416,14 @@ StatusOr<QueryPlan> PlanSelect(const SelectStatement& stmt,
     plan.scan.index_name = best->name;
     plan.scan.range = best_range;
     plan.scan.index_key_paths = best->key_paths;
-    // WHERE is fully absorbed when every conjunct is a sargable predicate
-    // on the chosen leading key (or restates the partial-index predicate).
+    // WHERE is fully absorbed when every conjunct compares the chosen
+    // leading key with a bound that can be true (or restates the
+    // partial-index predicate).
     plan.scan.where_consumed = true;
     for (size_t i = 0; i < conjuncts.size(); ++i) {
       bool absorbed =
           (sargs[i].has_value() && !sargs[i]->is_meta_id &&
-           sargs[i]->path == best->key_paths[0]) ||
+           !sargs[i]->never_true && sargs[i]->path == best->key_paths[0]) ||
           (!best->where_text.empty() &&
            conjuncts[i]->ToString() == best->where_text);
       if (!absorbed) {
@@ -425,11 +431,14 @@ StatusOr<QueryPlan> PlanSelect(const SelectStatement& stmt,
         break;
       }
     }
+    // A covered row is rebuilt by setting each key path on an empty object,
+    // which cannot create the array an element path like `tags[0]` needs.
     plan.scan.covering =
         referenced.has_value() &&
         std::all_of(referenced->begin(), referenced->end(),
                     [&](const std::string& p) {
-                      return std::find(best->key_paths.begin(),
+                      return p.find('[') == std::string::npos &&
+                             std::find(best->key_paths.begin(),
                                        best->key_paths.end(),
                                        p) != best->key_paths.end();
                     });
@@ -447,9 +456,8 @@ StatusOr<QueryPlan> PlanSelect(const SelectStatement& stmt,
     plan.scan.index_name = def.name;
     plan.scan.where_consumed = true;
     for (const auto& s : sargs) {
-      if (s.has_value() && s->is_meta_id) {
-        NarrowRange(*s, &plan.scan.range);
-      } else {
+      if (s.has_value() && s->is_meta_id) NarrowRange(*s, &plan.scan.range);
+      if (!s.has_value() || !s->is_meta_id || s->never_true) {
         plan.scan.where_consumed = false;
       }
     }

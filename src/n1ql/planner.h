@@ -32,8 +32,11 @@ struct ScanChoice {
   // fetched. The primary index covers statements that read only meta().id.
   bool covering = false;
   std::vector<std::string> index_key_paths;  // for covering reconstruction
-  // True when the WHERE clause is entirely absorbed by the scan range, so
-  // LIMIT can be pushed down into the index scan.
+  // True when the WHERE clause is entirely absorbed by the scan range:
+  // every conjunct compares the index's leading key (or meta().id on the
+  // primary index) with a constant that is neither NULL nor MISSING, or
+  // restates a partial index's predicate. Every entry the scan returns then
+  // satisfies the WHERE, so LIMIT can be pushed down into the scan.
   bool where_consumed = false;
 };
 
@@ -44,6 +47,14 @@ struct QueryPlan {
   bool has_aggregates = false;
   // Normalized texts of aggregate calls appearing anywhere in the query.
   std::vector<ExprPtr> aggregate_exprs;
+
+  // True when the executor must evaluate the WHERE on each row. A covering
+  // scan that consumed the WHERE skips it: its rows are rebuilt from the
+  // very index keys the scan range bounded. A fetched row keeps the Filter,
+  // because its body can be newer than the index entry that found it.
+  bool RunsFilter(const SelectStatement& stmt) const {
+    return stmt.where != nullptr && !(scan.covering && scan.where_consumed);
+  }
 
   // Rendered plan for EXPLAIN (mirrors Figure 11's operator list).
   json::Value Describe(const SelectStatement& stmt) const;

@@ -19,6 +19,11 @@ StatusOr<size_t> EvalCount(const ExprPtr& e, const QueryOptions& opts,
   return EvalCountExpr(e, opts.params, fallback);
 }
 
+// The FROM alias that unqualified paths resolve against; empty without FROM.
+std::string_view FromAlias(const SelectStatement& stmt) {
+  return stmt.from ? std::string_view(stmt.from->alias) : std::string_view();
+}
+
 }  // namespace
 
 QueryService::QueryService(cluster::Cluster* cluster,
@@ -49,7 +54,7 @@ client::SmartClient* QueryService::ClientFor(const std::string& bucket) {
 }
 
 EvalContext QueryService::MakeContext(const ExecRow& row,
-                                      const std::string& default_alias,
+                                      std::string_view default_alias,
                                       const QueryOptions& opts) const {
   EvalContext ctx;
   ctx.row = &row.row;
@@ -240,22 +245,23 @@ StatusOr<std::vector<QueryService::ExecRow>> QueryService::RunScan(
     // Covered query (paper §5.1.2): reconstruct the referenced fields from
     // the index entries; no document fetch at all. A primary-index entry
     // has no key paths, so its row is an empty body plus meta().id.
+    // The scan result is ours, so each entry's key and id move into its row.
+    const std::vector<std::string>& paths = plan.scan.index_key_paths;
     std::vector<ExecRow> rows;
     rows.reserve(entries->size());
-    for (const gsi::IndexEntry& e : *entries) {
+    for (gsi::IndexEntry& e : *entries) {
       Value doc = Value::MakeObject();
-      if (plan.scan.index_key_paths.size() == 1) {
-        doc.SetPath(plan.scan.index_key_paths[0], e.key);
+      if (paths.size() == 1) {
+        doc.SetPath(paths[0], std::move(e.key));
       } else if (e.key.is_array()) {
-        const auto& parts = e.key.AsArray();
-        for (size_t i = 0;
-             i < plan.scan.index_key_paths.size() && i < parts.size(); ++i) {
-          doc.SetPath(plan.scan.index_key_paths[i], parts[i]);
+        Value::Array& parts = e.key.AsArray();
+        for (size_t i = 0; i < paths.size() && i < parts.size(); ++i) {
+          doc.SetPath(paths[i], std::move(parts[i]));
         }
       }
-      ExecRow row;
-      row.row.bindings[from.alias] = BoundDoc{std::move(doc), e.doc_id, 0};
-      rows.push_back(std::move(row));
+      ExecRow& row = rows.emplace_back();
+      row.row.bindings.emplace(
+          from.alias, BoundDoc{std::move(doc), std::move(e.doc_id), 0});
     }
     return rows;
   }
@@ -270,7 +276,7 @@ Status QueryService::RunJoins(const SelectStatement& stmt,
                               const QueryOptions& opts,
                               std::vector<ExecRow>* rows,
                               QueryMetrics* metrics) {
-  const std::string default_alias = stmt.from ? stmt.from->alias : "";
+  const std::string_view default_alias = FromAlias(stmt);
   for (const JoinClause& jc : stmt.joins) {
     std::vector<ExecRow> next;
     for (ExecRow& row : *rows) {
@@ -336,7 +342,7 @@ Status QueryService::RunJoins(const SelectStatement& stmt,
 Status QueryService::RunGroup(const SelectStatement& stmt,
                               const QueryPlan& plan, const QueryOptions& opts,
                               std::vector<ExecRow>* rows) {
-  const std::string default_alias = stmt.from ? stmt.from->alias : "";
+  const std::string_view default_alias = FromAlias(stmt);
   // Partition rows into groups keyed by the GROUP BY values (one global
   // group when there is no GROUP BY but aggregates are present).
   std::map<std::string, std::vector<Row>> groups;
@@ -376,7 +382,7 @@ Status QueryService::RunGroup(const SelectStatement& stmt,
 StatusOr<Value> QueryService::ProjectRow(const SelectStatement& stmt,
                                          const ExecRow& row,
                                          const QueryOptions& opts,
-                                         const std::string& default_alias) {
+                                         std::string_view default_alias) {
   EvalContext ctx = MakeContext(row, default_alias, opts);
   return ProjectSelectItems(stmt.items, ctx);
 }
@@ -408,7 +414,7 @@ StatusOr<QueryResult> QueryService::ExecSelect(const SelectStatement& stmt,
     return result;
   }
 
-  const std::string default_alias = stmt.from ? stmt.from->alias : "";
+  const std::string_view default_alias = FromAlias(stmt);
 
   // Scan (+ implicit fetch).
   auto rows_or = RunScan(stmt, plan, opts, &result.metrics);
@@ -418,8 +424,8 @@ StatusOr<QueryResult> QueryService::ExecSelect(const SelectStatement& stmt,
   // Joins / NEST / UNNEST.
   COUCHKV_RETURN_IF_ERROR(RunJoins(stmt, opts, &rows, &result.metrics));
 
-  // Filter.
-  if (stmt.where != nullptr) {
+  // Filter, unless the covering scan's range already proved the WHERE.
+  if (plan.RunsFilter(stmt)) {
     std::vector<ExecRow> kept;
     kept.reserve(rows.size());
     for (ExecRow& row : rows) {
@@ -494,6 +500,7 @@ StatusOr<QueryResult> QueryService::ExecSelect(const SelectStatement& stmt,
 
   // Projection (+ DISTINCT on the projected values).
   std::set<std::string> seen;
+  result.rows.reserve(rows.size());
   for (const ExecRow& row : rows) {
     auto projected = ProjectRow(stmt, row, opts, default_alias);
     if (!projected.ok()) return projected.status();

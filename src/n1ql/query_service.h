@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "client/smart_client.h"
@@ -89,7 +90,7 @@ class QueryService {
   StatusOr<json::Value> ProjectRow(const SelectStatement& stmt,
                                    const ExecRow& row,
                                    const QueryOptions& opts,
-                                   const std::string& default_alias);
+                                   std::string_view default_alias);
 
   // Resolves the target documents for UPDATE/DELETE.
   StatusOr<std::vector<ExecRow>> ResolveDmlTargets(
@@ -97,7 +98,7 @@ class QueryService {
       const ExprPtr& use_keys, const ExprPtr& where, const QueryOptions& opts,
       QueryMetrics* metrics);
 
-  EvalContext MakeContext(const ExecRow& row, const std::string& default_alias,
+  EvalContext MakeContext(const ExecRow& row, std::string_view default_alias,
                           const QueryOptions& opts) const;
 
   cluster::Cluster* cluster_;

@@ -161,6 +161,45 @@ TEST(IndexPartitionTest, ExclusiveBounds) {
   EXPECT_EQ(out[0].key.AsInt(), 3);
 }
 
+// A composite key is the array [age, name]. The range bounds its leading
+// element: arrays sort after numbers, so comparing whole keys with a scalar
+// bound would match nothing (or everything).
+TEST(IndexPartitionTest, CompositeKeyRangeBoundsLeadingElement) {
+  IndexDefinition def;
+  def.key_paths = {"age", "name"};
+  IndexPartition p(def, 0, nullptr);
+  for (int i = 0; i < 20; ++i) {
+    // Two entries per age, so the bounds must cover every name of an age.
+    for (const char* name : {"a", "b"}) {
+      p.Apply(KV("d" + std::to_string(i) + name,
+                 {Value::MakeArray({Value::Int(i), Value::Str(name)})}, 1));
+    }
+  }
+  auto leading = [&](const ScanRange& range, size_t limit = SIZE_MAX) {
+    std::vector<int64_t> out;
+    for (const IndexEntry& e : p.Scan(range, limit)) {
+      out.push_back(e.key.At(0).AsInt());
+    }
+    return out;
+  };
+  ScanRange r;
+  r.lo = Value::Int(5);
+  r.hi = Value::Int(8);
+  r.hi_inclusive = false;
+  EXPECT_EQ(leading(r), (std::vector<int64_t>{5, 5, 6, 6, 7, 7}));
+  EXPECT_EQ(leading(ScanRange::Point(Value::Int(4))),
+            (std::vector<int64_t>{4, 4}));
+  ScanRange from17;
+  from17.lo = Value::Int(17);
+  EXPECT_EQ(leading(from17), (std::vector<int64_t>{17, 17, 18, 18, 19, 19}));
+  EXPECT_EQ(leading(from17, 3), (std::vector<int64_t>{17, 17, 18}));
+  from17.lo_inclusive = false;
+  EXPECT_EQ(leading(from17), (std::vector<int64_t>{18, 18, 19, 19}));
+  ScanRange upto1;
+  upto1.hi = Value::Int(1);
+  EXPECT_EQ(leading(upto1), (std::vector<int64_t>{0, 0, 1, 1}));
+}
+
 TEST(IndexPartitionTest, PartitionedOwnership) {
   IndexDefinition def;
   def.key_paths = {"x"};
@@ -324,6 +363,37 @@ TEST_F(IndexServiceTest, PartitionedIndexScatterGather) {
     EXPECT_LE(Value::Compare((*entries)[i - 1].key, (*entries)[i].key), 0);
   }
   EXPECT_EQ(service_->Stats("default", "by_age_p").num_partitions, 4u);
+}
+
+// The gather merges the partitions' runs: under a LIMIT the result is the
+// first entries of the whole index in (key, doc_id) order, the same as an
+// unpartitioned index returns.
+TEST_F(IndexServiceTest, PartitionedScanMergesInEntryOrderUnderLimit) {
+  IndexDefinition parted = AgeIndex();
+  parted.name = "by_age_3";
+  parted.num_partitions = 3;
+  ASSERT_TRUE(service_->CreateIndex(parted).ok());
+  ASSERT_TRUE(service_->CreateIndex(AgeIndex()).ok());
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(client_
+                    ->Upsert("u" + std::to_string(i),
+                             R"({"age":)" + std::to_string(i % 7) + "}")
+                    .ok());
+  }
+  ScanRange range;
+  range.lo = Value::Int(2);
+  for (size_t limit : {size_t{1}, size_t{9}, size_t{17}, SIZE_MAX}) {
+    auto got = service_->Scan("default", "by_age_3", range, limit,
+                              ScanConsistency::kRequestPlus);
+    auto want = service_->Scan("default", "by_age", range, limit,
+                               ScanConsistency::kRequestPlus);
+    ASSERT_TRUE(got.ok() && want.ok());
+    ASSERT_EQ(got->size(), want->size()) << limit;
+    for (size_t i = 0; i < got->size(); ++i) {
+      EXPECT_EQ((*got)[i].doc_id, (*want)[i].doc_id) << limit << " @" << i;
+      if (i > 0) EXPECT_TRUE(EntryLess()((*got)[i - 1], (*got)[i]));
+    }
+  }
 }
 
 TEST_F(IndexServiceTest, MemoryOptimizedWritesNoDisk) {

@@ -103,6 +103,14 @@ TEST(PlannerTest, CoveringDetection) {
   plan = PlanSelect(star, {Index("by_age", {"age"})}, {});
   ASSERT_TRUE(plan.ok());
   EXPECT_FALSE(plan->scan.covering);
+
+  // A covered row is rebuilt from the index keys by path, which cannot
+  // create the array an element path such as tags[0] lives in.
+  auto element = Parse("SELECT tags[0] FROM b WHERE tags[0] = 'x'");
+  plan = PlanSelect(element, {Index("first_tag", {"tags[0]"})}, {});
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->scan.index_name, "first_tag");
+  EXPECT_FALSE(plan->scan.covering);
 }
 
 TEST(PlannerTest, CompositeIndexCoversSecondKey) {
@@ -245,6 +253,81 @@ TEST(PlannerTest, RepeatedBoundsIntersect) {
   EXPECT_FALSE(plan->scan.range.lo_inclusive);
   EXPECT_EQ(plan->scan.range.hi->AsString(), "z");
   EXPECT_FALSE(plan->scan.range.hi_inclusive);
+}
+
+// A comparison with NULL or MISSING is never true: it may still pick the
+// index, but the scan range cannot stand for it, so the WHERE is not
+// consumed and the Filter runs.
+TEST(PlannerTest, NullOrMissingBoundIsNeverConsumed) {
+  const std::vector<gsi::IndexDefinition> indexes = {
+      Index("by_age", {"age"}), Index("#primary", {}, true)};
+  const std::vector<Value> params = {Value::Null(), Value::Missing(),
+                                     Value::Int(3)};
+  for (const char* q : {
+           "SELECT age FROM b WHERE age = NULL",
+           "SELECT age FROM b WHERE age >= NULL",
+           "SELECT age FROM b WHERE NULL < age",
+           "SELECT age FROM b WHERE age = $1",
+           "SELECT age FROM b WHERE age <= $2",
+           "SELECT age FROM b WHERE age > $3 AND age < $1",
+           "SELECT META(b).id FROM b WHERE META(b).id >= $1",
+           "SELECT META(b).id FROM b WHERE META(b).id < $2",
+       }) {
+    auto stmt = Parse(q);
+    auto plan = PlanSelect(stmt, indexes, params);
+    ASSERT_TRUE(plan.ok()) << q;
+    EXPECT_TRUE(plan->scan.covering) << q;
+    EXPECT_FALSE(plan->scan.where_consumed) << q;
+    EXPECT_TRUE(plan->RunsFilter(stmt)) << q;
+  }
+  // The same statements with a real bound are consumed.
+  for (const char* q : {"SELECT age FROM b WHERE age = $3",
+                        "SELECT META(b).id FROM b WHERE META(b).id >= $3"}) {
+    auto stmt = Parse(q);
+    auto plan = PlanSelect(stmt, indexes, params);
+    ASSERT_TRUE(plan.ok()) << q;
+    EXPECT_TRUE(plan->scan.where_consumed) << q;
+    EXPECT_FALSE(plan->RunsFilter(stmt)) << q;
+  }
+}
+
+// EXPLAIN lists the Filter exactly when the executor runs it: a covering
+// scan that consumed the WHERE skips it; a fetched scan never does, since
+// a fetched body can be newer than the index entry that found it.
+TEST(PlannerTest, ExplainListsFilterOnlyWhenItRuns) {
+  auto count_filter = [](const Value& described) {
+    int n = 0;
+    for (const Value& op : described.Field("operators").AsArray()) {
+      if (op.Field("#operator").AsString() == "Filter") ++n;
+    }
+    return n;
+  };
+  struct Case {
+    const char* query;
+    bool runs_filter;
+  };
+  for (const Case& c : {
+           Case{"SELECT META(b).id FROM b WHERE META(b).id >= 'a'", false},
+           Case{"SELECT age FROM b WHERE age >= 10 AND age < 20", false},
+           Case{"SELECT age FROM b WHERE age = 10 LIMIT 3", false},
+           Case{"SELECT city FROM b WHERE age = 10", false},
+           Case{"SELECT META(b).id FROM b", false},
+           Case{"SELECT name FROM b WHERE META(b).id >= 'a'", true},
+           Case{"SELECT email FROM b WHERE age = 10", true},
+           Case{"SELECT age FROM b WHERE age > 5 AND city = 'x'", true},
+           Case{"SELECT age FROM b WHERE age > 5 AND META(b).id > 'a'", true},
+           Case{"SELECT META(b).id FROM b WHERE LOWER(META(b).id) = 'a'",
+                true},
+       }) {
+    auto stmt = Parse(c.query);
+    auto plan = PlanSelect(
+        stmt, {Index("by_age_city", {"age", "city"}), Index("#primary", {}, true)},
+        {});
+    ASSERT_TRUE(plan.ok()) << c.query;
+    EXPECT_EQ(plan->RunsFilter(stmt), c.runs_filter) << c.query;
+    EXPECT_EQ(count_filter(plan->Describe(stmt)), c.runs_filter ? 1 : 0)
+        << c.query;
+  }
 }
 
 TEST(PlannerTest, ResidualPredicateBlocksPushdown) {

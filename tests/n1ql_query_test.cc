@@ -476,6 +476,291 @@ TEST_F(N1qlTest, LimitPushdownSkipsNullKeys) {
   for (const Value& row : limited.rows) EXPECT_EQ(row.Field("age").AsInt(), 3);
 }
 
+// A composite key is the array [age, name]; the scan range bounds its
+// leading element. Arrays sort after numbers, so the scan must compare that
+// element, not the whole key, with a numeric bound.
+TEST_F(N1qlTest, CompositeIndexRangeScans) {
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(client_
+                    ->Upsert("p::" + std::to_string(100 + i),
+                             R"({"age":)" + std::to_string(i) +
+                                 R"(,"name":"n)" + std::to_string(i) +
+                                 R"(","email":"e)" + std::to_string(i) +
+                                 R"("})")
+                    .ok());
+  }
+  MustQuery("CREATE INDEX by_an ON profiles(age, name) USING GSI");
+  auto ages = [](const QueryResult& r) {
+    std::vector<int64_t> out;
+    for (const Value& row : r.rows) out.push_back(row.Field("age").AsInt());
+    return out;
+  };
+  struct Case {
+    std::string where;
+    std::vector<int64_t> ages;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"age >= 5 AND age < 8", {5, 6, 7}},
+           {"age = 4", {4}},
+           {"age >= 17", {17, 18, 19}},
+           {"age >= 17 LIMIT 2", {17, 18}},
+           {"age > 17", {18, 19}},
+           {"age <= 2", {0, 1, 2}},
+           {"age < 2 LIMIT 1", {0}},
+       }) {
+    // Covered: the index holds age and name. Fetched: email is not in it.
+    for (const std::string select :
+         {"SELECT age, name FROM profiles WHERE ",
+          "SELECT age, name, email FROM profiles WHERE "}) {
+      auto ex = MustQuery("EXPLAIN " + select + c.where);
+      EXPECT_EQ(ex.rows[0].GetPath("operators[0].index").AsString(), "by_an");
+      auto r = MustQuery(select + c.where);
+      EXPECT_EQ(ages(r), c.ages) << select << c.where;
+      for (const Value& row : r.rows) {
+        EXPECT_EQ(row.Field("name").AsString(),
+                  "n" + std::to_string(row.Field("age").AsInt()));
+      }
+    }
+  }
+}
+
+// A comparison with NULL (or MISSING) is never true, so no scan range can
+// stand for it: the predicate stays in the Filter and the query returns no
+// rows, whether the bound is a literal or a parameter. The index on age still
+// serves such a query.
+TEST_F(N1qlTest, NullBoundsReturnNoRows) {
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        client_->Upsert("null::" + std::to_string(i), R"({"age":null})").ok());
+    ASSERT_TRUE(client_
+                    ->Upsert("num::" + std::to_string(i),
+                             R"({"age":)" + std::to_string(i) + "}")
+                    .ok());
+  }
+  MustQuery("CREATE INDEX by_age ON profiles(age) USING GSI");
+  QueryOptions opts;
+  opts.params = {Value::Null()};
+  auto expect_no_rows = [&](const std::string& q) {
+    EXPECT_TRUE(MustQuery(q, opts).rows.empty()) << q;
+    auto ex = MustQuery("EXPLAIN " + q, opts);
+    bool has_filter = false;
+    for (const Value& op : ex.rows[0].Field("operators").AsArray()) {
+      if (op.Field("#operator").AsString() == "Filter") has_filter = true;
+    }
+    EXPECT_TRUE(has_filter) << q;
+  };
+  for (const char* q : {
+           "SELECT age FROM profiles WHERE age = NULL",
+           "SELECT age FROM profiles WHERE age >= NULL",
+           "SELECT age FROM profiles WHERE age <= $1",
+           "SELECT age FROM profiles WHERE age >= NULL LIMIT 2",
+           "SELECT age FROM profiles WHERE age = NULL AND age >= 0",
+       }) {
+    expect_no_rows(q);
+  }
+  EXPECT_EQ(MustQuery("SELECT age FROM profiles WHERE age >= 0").rows.size(),
+            3u);
+  MustQuery("CREATE PRIMARY INDEX ON profiles USING GSI");
+  expect_no_rows("SELECT meta().id AS id FROM profiles WHERE meta().id >= $1");
+  expect_no_rows(
+      "SELECT meta().id AS id FROM profiles WHERE meta().id >= $1 LIMIT 2");
+}
+
+// The covered form of a query (the index alone answers it) and its fetched
+// form (one more field forces the document fetch) return the same ids in
+// the same order, over every kind of index the planner can pick. Without
+// LIMIT/OFFSET the ids are those a primary scan plus Filter returns; with
+// them, the matching slice of the unlimited result.
+TEST_F(N1qlTest, CoveredAndFetchedFormsAgree) {
+  for (int i = 0; i < 30; ++i) {
+    char id[8];
+    std::snprintf(id, sizeof(id), "d::%02d", i);
+    Value doc = Value::MakeObject();
+    doc["age"] = Value::Int(i % 10);  // duplicate keys order by doc id
+    doc["name"] = Value::Str("n" + std::to_string(i % 7));
+    doc["email"] = Value::Str(std::string(id) + "@example.com");
+    ASSERT_TRUE(client_->UpsertJson(id, doc).ok());
+  }
+  // Mixed key types and NULL keys; "m::0" has no age and no index entry.
+  for (const auto& [id, body] : std::vector<std::pair<std::string, std::string>>{
+           {"s::0", R"({"age":"a","name":"s","email":"s0"})"},
+           {"s::1", R"({"age":"b","name":"s","email":"s1"})"},
+           {"b::0", R"({"age":false,"name":"b","email":"b0"})"},
+           {"b::1", R"({"age":true,"name":"b","email":"b1"})"},
+           {"o::0", R"({"age":[1,2],"name":"o","email":"o0"})"},
+           {"z::0", R"({"age":null,"name":"z","email":"z0"})"},
+           {"z::1", R"({"age":null,"name":"z","email":"z1"})"},
+           {"m::0", R"({"name":"m","email":"m0"})"},
+       }) {
+    ASSERT_TRUE(client_->Upsert(id, body).ok());
+  }
+  MustQuery("CREATE PRIMARY INDEX ON profiles USING GSI");
+  QueryOptions opts;
+  opts.params = {Value::Int(5), Value::Null(), Value::Str("s::")};
+
+  struct Where {
+    std::string text;
+    bool absorbed;  // the scan range proves it: the covered form skips Filter
+  };
+  struct IndexCase {
+    std::string ddl;
+    std::string index;
+    std::vector<std::string> keys;  // the index keys, in key order
+    std::vector<Where> wheres;
+  };
+  const std::vector<Where> on_age = {
+      {"age = 3", true},
+      {"age < 4", true},
+      {"age <= 4", true},
+      {"age > 6", true},
+      {"age >= 6", true},
+      {"3 >= age", true},
+      {"age >= 2 AND age < 5", true},
+      {"age = $1", true},
+      {"age > 'a'", true},
+      {"age < true", true},
+      {"age >= false AND age <= 1", true},
+      {"age = NULL", false},
+      {"age >= $2", false},
+      {"age >= 2 AND name = 'n3'", false},
+  };
+  const std::vector<Where> on_adults = {
+      {"age >= 5", true},
+      {"age >= 5 AND age < 8", true},
+      {"age >= 5 AND age = 7", true},
+      {"age >= 5 AND age > 'a'", true},
+      {"age >= 5 AND age = NULL", false},
+  };
+  const std::vector<IndexCase> cases = {
+      {"CREATE PRIMARY INDEX ON profiles USING GSI",
+       "#primary",
+       {},
+       {{"meta().id >= 'd::25'", true},
+        {"meta().id < 'd::03'", true},
+        {"meta().id = 'd::07'", true},
+        {"meta().id > 'd::1' AND meta().id <= 'd::15'", true},
+        {"meta().id >= $3", true},
+        {"meta().id >= $2", false}}},
+      {"CREATE INDEX by_age ON profiles(age) USING GSI", "by_age", {"age"},
+       on_age},
+      {"CREATE INDEX by_age_p ON profiles(age) USING GSI "
+       "WITH {\"num_partitions\": 3}",
+       "by_age_p", {"age"}, on_age},
+      {"CREATE INDEX by_age_name ON profiles(age, name) USING GSI",
+       "by_age_name", {"age", "name"}, on_age},
+      {"CREATE INDEX adults ON profiles(age) WHERE age >= 5 USING GSI",
+       "adults", {"age"}, on_adults},
+  };
+  const std::vector<std::pair<std::string, std::pair<size_t, size_t>>> tails =
+      {{" LIMIT 3", {0, 3}}, {" LIMIT 4 OFFSET 2", {2, 4}},
+       {" OFFSET 5", {5, SIZE_MAX}}};
+
+  auto ids = [](const QueryResult& r) {
+    std::vector<std::string> out;
+    for (const Value& row : r.rows) out.push_back(row.Field("id").AsString());
+    return out;
+  };
+  auto has_filter = [](const QueryResult& ex) {
+    for (const Value& op : ex.rows[0].Field("operators").AsArray()) {
+      if (op.Field("#operator").AsString() == "Filter") return true;
+    }
+    return false;
+  };
+
+  // Reference results: a primary scan with the Filter, before any
+  // secondary index exists.
+  std::map<std::string, std::vector<std::string>> expected;
+  for (const IndexCase& c : cases) {
+    for (const Where& w : c.wheres) {
+      auto ref = ids(MustQuery(
+          "SELECT meta().id AS id, email FROM profiles WHERE " + w.text, opts));
+      std::sort(ref.begin(), ref.end());
+      expected[w.text] = ref;
+    }
+  }
+  EXPECT_EQ(expected["age >= 2 AND age < 5"].size(), 9u);
+  EXPECT_EQ(expected["age > 'a'"],
+            (std::vector<std::string>{"o::0", "s::1"}));
+  EXPECT_EQ(expected["age < true"], (std::vector<std::string>{"b::0"}));
+
+  for (const IndexCase& c : cases) {
+    if (c.index != "#primary") MustQuery(c.ddl);
+    std::string keys;
+    for (const std::string& k : c.keys) keys += ", " + k;
+    const std::string covered = "SELECT meta().id AS id" + keys + " FROM ";
+    const std::string fetched =
+        "SELECT meta().id AS id" + keys + ", email FROM ";
+    for (const Where& w : c.wheres) {
+      const std::string from_where = "profiles WHERE " + w.text;
+      SCOPED_TRACE(c.index + ": " + w.text);
+      auto ex_covered = MustQuery("EXPLAIN " + covered + from_where, opts);
+      auto ex_fetched = MustQuery("EXPLAIN " + fetched + from_where, opts);
+      if (w.absorbed) {
+        EXPECT_EQ(ex_covered.rows[0].GetPath("operators[0].index").AsString(),
+                  c.index);
+        EXPECT_TRUE(ex_covered.rows[0].GetPath("operators[0].covering").AsBool());
+        EXPECT_FALSE(
+            ex_fetched.rows[0].GetPath("operators[0].covering").AsBool());
+      }
+      EXPECT_EQ(has_filter(ex_covered), !w.absorbed);
+      EXPECT_TRUE(has_filter(ex_fetched));
+
+      auto full = MustQuery(covered + from_where, opts);
+      auto full_ids = ids(full);
+      EXPECT_EQ(full_ids, ids(MustQuery(fetched + from_where, opts)));
+      if (w.absorbed) EXPECT_EQ(full.metrics.docs_fetched, 0u);
+      auto sorted = full_ids;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(sorted, expected[w.text]);
+      // An index scan returns entries in (key, doc_id) order, merged across
+      // partitions.
+      if (w.absorbed) {
+        for (size_t i = 1; i < full.rows.size(); ++i) {
+          Value::Array a, b;
+          for (const std::string& k : c.keys) {
+            a.push_back(full.rows[i - 1].Field(k));
+            b.push_back(full.rows[i].Field(k));
+          }
+          a.push_back(Value::Str(full_ids[i - 1]));
+          b.push_back(Value::Str(full_ids[i]));
+          EXPECT_LT(Value::Compare(Value::MakeArray(std::move(a)),
+                                   Value::MakeArray(std::move(b))),
+                    0)
+              << full_ids[i - 1] << " before " << full_ids[i];
+        }
+      }
+
+      for (const auto& [tail, slice] : tails) {
+        const auto& [offset, limit] = slice;
+        std::vector<std::string> want;
+        for (size_t i = offset; i < full_ids.size() && i - offset < limit;
+             ++i) {
+          want.push_back(full_ids[i]);
+        }
+        EXPECT_EQ(ids(MustQuery(covered + from_where + tail, opts)), want)
+            << tail;
+        EXPECT_EQ(ids(MustQuery(fetched + from_where + tail, opts)), want)
+            << tail;
+      }
+    }
+    if (c.index != "#primary") MustQuery("DROP INDEX profiles." + c.index);
+  }
+}
+
+// An index keyed on an array element cannot rebuild its rows (the element
+// has no array to live in), so it never covers a query.
+TEST_F(N1qlTest, SubscriptedIndexKeyIsNotCovering) {
+  ASSERT_TRUE(client_->Upsert("t::0", R"({"tags":["x","y"]})").ok());
+  ASSERT_TRUE(client_->Upsert("t::1", R"({"tags":["y"]})").ok());
+  MustQuery("CREATE INDEX first_tag ON profiles(tags[0]) USING GSI");
+  const std::string q = "SELECT tags[0] AS t FROM profiles WHERE tags[0] = 'x'";
+  auto ex = MustQuery("EXPLAIN " + q);
+  EXPECT_EQ(ex.rows[0].GetPath("operators[0].index").AsString(), "first_tag");
+  auto r = MustQuery(q);
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0].Field("t").AsString(), "x");
+}
+
 // A Get that fails for any reason but NotFound fails the query: a partial
 // result would look like a complete one.
 TEST_F(N1qlTest, FetchFailureFailsQueryInsteadOfDroppingRows) {
