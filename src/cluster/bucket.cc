@@ -33,17 +33,21 @@ Bucket::Bucket(BucketConfig config, NodeId node_id, storage::Env* env,
   // DCP backfill reads from the vBucket's storage file.
   producer_ = std::make_shared<dcp::Producer>(
       kNumVBuckets,
-      [this](uint16_t vb, uint64_t since, const dcp::MutationFn& fn) {
+      [this](uint16_t vb, uint64_t since, uint64_t upto,
+             const dcp::MutationFn& fn) {
         storage::CouchFile* file = vbuckets_[vb]->file();
         if (file == nullptr) return Status::OK();
-        return file->ChangesSince(since, [&](const kv::Document& doc) {
-          kv::Mutation m;
-          m.vbucket = vb;
-          m.doc = doc;
-          // A failed delivery aborts the backfill scan; the producer's
-          // stall/retry logic decides what happens next.
-          return fn(m);
-        });
+        return file->ChangesSince(
+            since,
+            [&](kv::Document&& doc) {
+              kv::Mutation m;
+              m.vbucket = vb;
+              m.doc = std::move(doc);
+              // A failed delivery aborts the backfill scan; the producer's
+              // stall/retry logic decides what happens next.
+              return fn(m);
+            },
+            upto);
       },
       &dcp_counters_);
   dispatcher_->AddProducer(producer_);
@@ -108,13 +112,18 @@ Status Bucket::SetVBucketState(uint16_t vb, VBucketState state) {
 
 void Bucket::EnqueueForPersistence(uint16_t vb, const kv::Document& doc) {
   QueueShard& shard = shards_[vb % kQueueShards];
-  bool inserted;
+  bool first = false;
   {
     LockGuard lock(shard.mu);
-    // Later write supersedes earlier (dedup aggregation).
-    inserted = shard.items.insert_or_assign({vb, doc.key}, doc).second;
+    // Later write supersedes earlier (dedup aggregation). The count moves
+    // with the item under the shard lock, so the flusher can never drain an
+    // item before it is counted (queued_ would wrap and the next pass would
+    // flush nothing).
+    if (shard.items.insert_or_assign({vb, doc.key}, doc).second) {
+      first = queued_.fetch_add(1) == 0;
+    }
   }
-  if (inserted && queued_.fetch_add(1) == 0) {
+  if (first) {
     // The flusher checks queued_ under queue_mu_ before its untimed wait;
     // taking the mutex here means it either sees this item or gets the
     // notify.
@@ -137,8 +146,8 @@ size_t Bucket::RequeueFailedBatch(uint16_t vb, std::vector<kv::Document>& docs) 
         ++requeued;
       }
     }
+    queued_.fetch_add(requeued);
   }
-  if (requeued > 0) queued_.fetch_add(requeued);
   flush_retries_->Add(requeued);
   return requeued;
 }
@@ -184,12 +193,15 @@ void Bucket::FlusherLoop() {
     uint64_t flush_start_ns = Clock::Real()->NowNanos();
     for (QueueShard& shard : shards_) {
       LockGuard lock(shard.mu);
+      queued_.fetch_sub(shard.items.size());
       batch.merge(shard.items);
       shard.items.clear();
     }
-    queued_.fetch_sub(batch.size());
-    flush_batches_->Add();
-    flush_docs_->Add(batch.size());
+    // Empty only if a rollback purged the queue since the check above.
+    if (!batch.empty()) {
+      flush_batches_->Add();
+      flush_docs_->Add(batch.size());
+    }
     // Group the batch by vBucket: one SaveDocs + Commit per file, so a
     // flush cycle is a small number of sequential writes + fsyncs.
     std::map<uint16_t, std::vector<kv::Document>> by_vb;
@@ -235,9 +247,16 @@ void Bucket::FlusherLoop() {
                  << " docs for retry";
         continue;
       }
+      uint64_t persisted = 0;
       for (const kv::Document& doc : docs) {
         v->hash_table().MarkClean(doc.key, doc.meta.seqno);
+        persisted = std::max(persisted, doc.meta.seqno);
       }
+      // The pass drained vb's whole queue under one shard lock, and
+      // SaveDocs+Commit is all or nothing, so every seqno of vb up to the
+      // batch's highest is now in storage (or superseded by a version that
+      // is): the change log may drop them.
+      producer_->OnPersisted(vb, persisted);
     }
     disk_unhealthy_.store(pass_failed, std::memory_order_release);
     UpdateBackpressure();
@@ -263,14 +282,17 @@ StatusOr<uint64_t> Bucket::Warmup() {
     COUCHKV_RETURN_IF_ERROR(EnsureStorage(vb));
     // ChangesSince streams in seqno order, which both Restore and the DCP
     // change log require.
-    Status st = v->file()->ChangesSince(0, [&](const kv::Document& doc) {
+    uint64_t persisted = 0;
+    Status st = v->file()->ChangesSince(0, [&](kv::Document&& doc) {
       if (!doc.meta.deleted) {
         v->hash_table().Restore(doc);
         ++loaded;
       }
-      // Re-seed the DCP change log so consumers attaching later can stream
-      // history without a storage backfill.
-      producer_->OnMutation(vb, doc);
+      // Re-seed the DCP change log with the vBucket's seqnos. All of it
+      // came from storage, so the trim below keeps only what a stream
+      // opened since still needs.
+      persisted = doc.meta.seqno;
+      producer_->OnMutation(vb, std::move(doc));
       return Status::OK();
     });
     if (!st.ok()) {
@@ -284,6 +306,7 @@ StatusOr<uint64_t> Bucket::Warmup() {
       }
       return st;
     }
+    producer_->OnPersisted(vb, persisted);
   }
   dispatcher_->Notify();
   return loaded;
@@ -331,6 +354,7 @@ Status Bucket::RollbackVBucket(uint16_t vb) {
     while (flushing_.load()) flush_cv_.Wait(lock);
   }
   std::string path = VBucketFilePath(vb);
+  producer_->ResetVBucket(vb);  // its items and seqnos are discarded too
   {
     LockGuard lock(storage_mu_);
     vbuckets_[vb] = MakeVBucket(vb);  // drops the hash table + file handle
@@ -398,6 +422,8 @@ void Bucket::UpdateScrapeGauges() {
       ->Set(static_cast<int64_t>(disk_queue_depth()));
   scope_->GetGauge("dcp.backlog")
       ->Set(static_cast<int64_t>(producer_->TotalBacklog()));
+  scope_->GetGauge("dcp.log_items")
+      ->Set(static_cast<int64_t>(producer_->LogItems()));
   // Worst fragmentation across hosted vBucket files, in basis points (the
   // §4.3.3 compaction trigger input).
   double worst_frag = 0.0;

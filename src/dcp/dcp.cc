@@ -15,7 +15,32 @@ void ChangeLog::Append(kv::Document doc) {
   LockGuard lock(mu_);
   if (doc.meta.seqno > high_seqno_) high_seqno_ = doc.meta.seqno;
   items_.push_back(std::move(doc));
-  while (items_.size() > max_items_) items_.pop_front();
+  // The cap never drops an item storage cannot serve yet: a stalled stream
+  // behind it backfills, instead of silently skipping the dropped range.
+  PopThrough(persisted_seqno_, max_items_);
+}
+
+void ChangeLog::PopThrough(uint64_t seqno, size_t keep_max) {
+  while (items_.size() > keep_max && items_.front().meta.seqno <= seqno) {
+    items_.pop_front();
+  }
+}
+
+void ChangeLog::MarkPersisted(uint64_t seqno) {
+  LockGuard lock(mu_);
+  if (seqno > persisted_seqno_) persisted_seqno_ = seqno;
+}
+
+void ChangeLog::Trim(uint64_t upto) {
+  LockGuard lock(mu_);
+  PopThrough(std::min(upto, persisted_seqno_), 0);
+}
+
+void ChangeLog::Reset() {
+  LockGuard lock(mu_);
+  items_.clear();
+  high_seqno_ = 0;
+  persisted_seqno_ = 0;
 }
 
 uint64_t ChangeLog::ReadSince(uint64_t since, size_t max,
@@ -91,6 +116,29 @@ void Producer::OnMutation(uint16_t vbucket, kv::Document doc) {
   MarkReady(vbucket);
 }
 
+void Producer::OnPersisted(uint16_t vbucket, uint64_t seqno) {
+  // Publish the persisted seqno before reading the streams' acks, as a pump
+  // pass stores its acks before reading the persisted seqno (both under the
+  // log's mutex): whichever trims second sees both, so nothing that could
+  // be dropped outlives the later of the two events.
+  logs_[vbucket]->MarkPersisted(seqno);
+  TrimLog(vbucket);
+}
+
+void Producer::TrimLog(uint16_t vbucket) {
+  uint64_t slowest = UINT64_MAX;
+  {
+    LockGuard lock(mu_);
+    for (const auto& s : by_vbucket_[vbucket]) {
+      slowest = std::min(slowest,
+                         s->next_seqno.load(std::memory_order_relaxed) - 1);
+    }
+  }
+  logs_[vbucket]->Trim(slowest);
+}
+
+void Producer::ResetVBucket(uint16_t vbucket) { logs_[vbucket]->Reset(); }
+
 StatusOr<uint64_t> Producer::AddStream(const std::string& name,
                                        uint16_t vbucket, uint64_t from_seqno,
                                        MutationFn fn) {
@@ -151,41 +199,36 @@ void Producer::RemoveStreamsNamed(const std::string& name) {
 
 bool Producer::BackfillStream(Stream& s, uint64_t window_start,
                               bool* delivered) {
-  // The in-memory window no longer covers this stream's start point:
-  // backfill the gap from the storage engine (paper: DCP "backfill").
+  // The in-memory window no longer covers this stream's position: serve
+  // the gap from the storage engine (paper: DCP "backfill"). Everything
+  // below the window is persisted, so storage holds the latest version of
+  // every key in the gap.
   bool stalled = false;
   if (backfill_) {
     uint64_t delivered_up_to = s.next_seqno.load(std::memory_order_relaxed) - 1;
-    Status st =
-        backfill_(s.vbucket, delivered_up_to, [&](const kv::Mutation& m) {
-          if (stalled) return Status::OK();  // skip; retry next pump
-          uint64_t next = s.next_seqno.load(std::memory_order_relaxed);
-          if (m.doc.meta.seqno >= next && m.doc.meta.seqno < window_start) {
-            Status delivery = s.fn(m);
-            if (!delivery.ok()) {
-              stalled = true;
-              return delivery;
-            }
-            if (m.doc.meta.seqno + 1 > next) {
-              s.next_seqno.store(m.doc.meta.seqno + 1,
-                                 std::memory_order_relaxed);
-            }
-            *delivered = true;
-            if (counters_.items_delivered != nullptr) {
-              counters_.items_delivered->Add();
-              counters_.backfill_items->Add();
-            }
+    Status st = backfill_(
+        s.vbucket, delivered_up_to, window_start - 1,
+        [&](const kv::Mutation& m) {
+          Status delivery = s.fn(m);
+          if (!delivery.ok()) {
+            stalled = true;  // aborts the scan; retried on a later pump
+            return delivery;
+          }
+          s.next_seqno.store(m.doc.meta.seqno + 1, std::memory_order_relaxed);
+          *delivered = true;
+          if (counters_.items_delivered != nullptr) {
+            counters_.items_delivered->Add();
+            counters_.backfill_items->Add();
           }
           return Status::OK();
         });
-    if (!st.ok()) {
+    if (!st.ok() && !stalled) {
       LOG_WARN << "DCP backfill failed for vb " << s.vbucket << ": "
                << st.ToString();
     }
   }
-  // Whether or not storage had everything, resume from the window — unless a
-  // delivery stalled, in which case the backfill resumes from the first
-  // undelivered seqno on a later pump.
+  // Storage had the whole gap: resume from the window. A stalled delivery
+  // instead resumes the backfill from its first undelivered seqno.
   if (!stalled &&
       s.next_seqno.load(std::memory_order_relaxed) < window_start) {
     s.next_seqno.store(window_start, std::memory_order_relaxed);
@@ -196,21 +239,19 @@ bool Producer::BackfillStream(Stream& s, uint64_t window_start,
 bool Producer::PumpStream(Stream& s, size_t batch_per_stream, bool* more) {
   bool delivered = false;
   ChangeLog& log = *logs_[s.vbucket];
-
-  if (!s.backfill_done) {
-    uint64_t window_start = log.start_seqno();
-    if (s.next_seqno.load(std::memory_order_relaxed) < window_start) {
-      if (!BackfillStream(s, window_start, &delivered)) {
-        *more = true;
-        return delivered;
-      }
-    }
-    s.backfill_done = true;
-  }
-
   std::vector<kv::Document> batch;
-  log.ReadSince(s.next_seqno.load(std::memory_order_relaxed) - 1,
-                batch_per_stream, &batch);
+  // Checked on every pump, not once per stream: a trim (or the size cap)
+  // can pass a stream that stalled, and its next items are then in storage.
+  for (;;) {
+    uint64_t next = s.next_seqno.load(std::memory_order_relaxed);
+    uint64_t window_start = log.ReadSince(next - 1, batch_per_stream, &batch);
+    if (next >= window_start) break;
+    batch.clear();
+    if (!BackfillStream(s, window_start, &delivered)) {
+      *more = true;
+      return delivered;
+    }
+  }
   if (batch.size() == batch_per_stream) *more = true;
   for (kv::Document& doc : batch) {
     // Skip already-delivered seqnos.
@@ -268,6 +309,9 @@ bool Producer::PumpOnce(size_t batch_per_stream) {
     }
     if (more) MarkReady(s->vbucket);
   }
+  // The streams have acked what they took; drop what they all passed and
+  // storage holds.
+  for (uint16_t vb : vbuckets) TrimLog(vb);
   if (counters_.stream_pumps != nullptr) counters_.stream_pumps->Add(visited);
   return delivered;
 }
@@ -300,6 +344,12 @@ uint64_t Producer::StreamSeqno(const std::string& name,
 
 uint64_t Producer::high_seqno(uint16_t vbucket) const {
   return logs_[vbucket]->high_seqno();
+}
+
+uint64_t Producer::LogItems() const {
+  uint64_t items = 0;
+  for (const auto& log : logs_) items += log->size();
+  return items;
 }
 
 uint64_t Producer::TotalBacklog() const {

@@ -7,9 +7,16 @@
 // Model: the data service owns one Producer per bucket per node. Each
 // mutation is appended to the per-vBucket ChangeLog. Consumers open Streams
 // (per vBucket, from a start seqno); a dispatcher thread pumps the producer,
-// delivering mutations to stream callbacks in seqno order. If a stream
-// starts below the log's in-memory window, the gap is backfilled from the
-// storage engine through a caller-supplied BackfillFn.
+// delivering mutations to stream callbacks in seqno order. Whenever a
+// stream is below the log's in-memory window, the gap is backfilled from
+// the storage engine through a caller-supplied BackfillFn.
+//
+// Retention (ep-engine's rule, paper §4.3.2): an item leaves its vBucket's
+// log once it is persisted and every open stream of that vBucket has passed
+// it. The flusher trims after each commit and the pump after each pass, so
+// a quiet cluster holds no second copy of its documents. Because only
+// persisted items are ever dropped, a stream the trim passed (a new one, or
+// one that stalled) finds every dropped item in storage.
 //
 // Delivery is event-driven (the ep-engine shape): the producer keeps a
 // ready queue of vBuckets with possible work. OnMutation and AddStream mark
@@ -63,22 +70,31 @@ using MutationFn = std::function<Status(const kv::Mutation&)>;
 
 // Reads mutations with seqno in (since, upto] for a vBucket from storage and
 // feeds them to `fn` in seqno order. Supplied by the data service.
-using BackfillFn = std::function<Status(
-    uint16_t vbucket, uint64_t since, const MutationFn& fn)>;
+using BackfillFn = std::function<Status(uint16_t vbucket, uint64_t since,
+                                        uint64_t upto, const MutationFn& fn)>;
 
-// In-memory, bounded window of recent mutations for one vBucket.
+// In-memory window of recent mutations for one vBucket. Items leave it only
+// once persisted: through Trim, or past `max_items` in Append.
 class ChangeLog {
  public:
   explicit ChangeLog(size_t max_items = 1 << 16) : max_items_(max_items) {}
 
   // Appends a mutation; must be called with monotonically increasing seqnos
-  // (the vBucket serializes its front-end ops, which guarantees this).
+  // (the vBucket serializes its front-end ops, which guarantees this). Past
+  // `max_items`, drops the oldest items that are persisted.
   void Append(kv::Document doc);
 
   // Copies mutations with seqno > since (up to `max`) into out. Returns the
   // first seqno present in the log, so callers can detect a trimmed gap.
   uint64_t ReadSince(uint64_t since, size_t max,
                      std::vector<kv::Document>* out) const;
+
+  // Records that every item at or below `seqno` is in storage.
+  void MarkPersisted(uint64_t seqno);
+  // Drops the items at or below both `upto` and the persisted seqno.
+  void Trim(uint64_t upto);
+  // Forgets every item and seqno (the vBucket was discarded).
+  void Reset();
 
   uint64_t high_seqno() const;
   uint64_t start_seqno() const;  // lowest seqno still in the window
@@ -88,10 +104,13 @@ class ChangeLog {
   uint64_t StartSeqno() const REQUIRES(mu_) {
     return items_.empty() ? high_seqno_ + 1 : items_.front().meta.seqno;
   }
+  // Pops front items at or below `seqno`, while `keep_max` more remain.
+  void PopThrough(uint64_t seqno, size_t keep_max) REQUIRES(mu_);
 
   mutable Mutex mu_{"dcp.changelog"};
   std::deque<kv::Document> items_ GUARDED_BY(mu_);
   uint64_t high_seqno_ GUARDED_BY(mu_) = 0;
+  uint64_t persisted_seqno_ GUARDED_BY(mu_) = 0;
   size_t max_items_;
 };
 
@@ -108,6 +127,13 @@ class Producer {
   // service on every write, while holding the vBucket's op lock). The
   // caller wakes the dispatcher with Dispatcher::Notify.
   void OnMutation(uint16_t vbucket, kv::Document doc);
+
+  // Records that vb's items up to `seqno` are persisted (the flusher calls
+  // this after each commit) and trims vb's log up to its slowest stream.
+  void OnPersisted(uint16_t vbucket, uint64_t seqno);
+
+  // Empties vb's log and zeroes its seqnos (the vBucket was rolled back).
+  void ResetVBucket(uint16_t vbucket);
 
   // Opens a stream delivering mutations with seqno > from_seqno for one
   // vBucket and marks that vBucket ready. `name` identifies the consumer in
@@ -144,6 +170,9 @@ class Producer {
   uint64_t high_seqno(uint16_t vbucket) const;
   uint16_t num_vbuckets() const { return num_vbuckets_; }
 
+  // Items held across all of the producer's change logs.
+  uint64_t LogItems() const;
+
   // Total undelivered items across all open streams (Σ per-stream
   // high_seqno − acked). The paper's DCP backlog stat: how far consumers
   // (replicas, views, GSI, XDCR) trail the data service.
@@ -165,7 +194,6 @@ class Producer {
     // Serializes delivery: the dispatcher thread and synchronous pumpers
     // (Quiesce, rebalance movers) may call PumpOnce concurrently.
     Mutex delivery_mu{"dcp.stream_delivery"};
-    bool backfill_done GUARDED_BY(delivery_mu) = false;
     // Set when the stream is removed; a pumper that snapshotted the stream
     // before removal skips it. This is what makes RemoveStream* a barrier.
     bool closed GUARDED_BY(delivery_mu) = false;
@@ -177,9 +205,12 @@ class Producer {
   bool PumpStream(Stream& s, size_t batch_per_stream, bool* more)
       REQUIRES(s.delivery_mu);
   // Serves the below-window gap from storage. Returns false if a delivery
-  // stalled (retry on a later pump).
+  // stalled: the stream then resumes from its first undelivered seqno on a
+  // later pump.
   bool BackfillStream(Stream& s, uint64_t window_start, bool* delivered)
       REQUIRES(s.delivery_mu);
+  // Trims vb's log up to its slowest open stream.
+  void TrimLog(uint16_t vbucket);
 
   // Queues vb for the next pump pass unless it is already queued.
   void MarkReady(uint16_t vbucket);
@@ -196,6 +227,7 @@ class Producer {
   COUCHKV_LOCK_ORDER("dcp.pump", "dcp.stream_delivery");
   COUCHKV_LOCK_ORDER("dcp.pump", "dcp.producer_streams");
   COUCHKV_LOCK_ORDER("dcp.pump", "dcp.ready");
+  COUCHKV_LOCK_ORDER("dcp.pump", "dcp.changelog");
   COUCHKV_LOCK_ORDER("dcp.producer_streams", "dcp.changelog");
   COUCHKV_LOCK_ORDER("dcp.stream_delivery", "dcp.changelog");
   COUCHKV_LOCK_ORDER("cluster.vbucket.op", "dcp.changelog");

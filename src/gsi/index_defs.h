@@ -60,7 +60,8 @@ struct KeyVersion {
 };
 
 // One scan result row. For covering scans the secondary key values ride
-// along so the query service need not fetch the document.
+// along so the query service need not fetch the document. A primary-index
+// entry's key is MISSING: its key is the id, which doc_id already holds.
 struct IndexEntry {
   json::Value key;
   std::string doc_id;

@@ -50,22 +50,32 @@ void IndexPartition::LogApply(const KeyVersion& kv) {
 
 void IndexPartition::Apply(const KeyVersion& kv) {
   WriterLockGuard lock(mu_);
-  // Remove whatever this partition currently holds for the document.
-  auto prev = back_.find(kv.doc_id);
-  if (prev != back_.end()) {
-    for (const json::Value& old_key : prev->second) {
-      tree_.erase(IndexEntry{old_key, kv.doc_id});
+  if (def_.is_primary) {
+    // A primary entry is the id alone (its key is MISSING) and the id is
+    // its own back-index. Its partition never changes: it hashes the id.
+    if (!kv.keys.empty() && OwnsKey(kv.keys[0])) {
+      tree_.try_emplace(IndexEntry{{}, kv.doc_id}, kv.vbucket);
+    } else {
+      tree_.erase(IndexEntry{{}, kv.doc_id});
     }
-    back_.erase(prev);
+  } else {
+    // Remove whatever this partition currently holds for the document.
+    auto prev = back_.find(kv.doc_id);
+    if (prev != back_.end()) {
+      for (const json::Value& old_key : prev->second) {
+        tree_.erase(IndexEntry{old_key, kv.doc_id});
+      }
+      back_.erase(prev);
+    }
+    // Insert the new keys that belong to this partition.
+    std::vector<json::Value> owned;
+    for (const json::Value& key : kv.keys) {
+      if (!OwnsKey(key)) continue;
+      tree_[IndexEntry{key, kv.doc_id}] = kv.vbucket;
+      owned.push_back(key);
+    }
+    if (!owned.empty()) back_[kv.doc_id] = std::move(owned);
   }
-  // Insert the new keys that belong to this partition.
-  std::vector<json::Value> owned;
-  for (const json::Value& key : kv.keys) {
-    if (!OwnsKey(key)) continue;
-    tree_[IndexEntry{key, kv.doc_id}] = kv.vbucket;
-    owned.push_back(key);
-  }
-  if (!owned.empty()) back_[kv.doc_id] = std::move(owned);
   LogApply(kv);
   // seqnos from one vBucket arrive in order, so a plain store suffices.
   processed_[kv.vbucket].store(kv.seqno, std::memory_order_release);
@@ -73,33 +83,42 @@ void IndexPartition::Apply(const KeyVersion& kv) {
 
 std::vector<IndexEntry> IndexPartition::Scan(const ScanRange& range,
                                              size_t limit) const {
-  // A composite key is the array [k0, k1, ...], and the range bounds its
-  // leading element k0. Arrays compare element by element and a prefix sorts
-  // first, so [lo] precedes every key whose leading element is >= lo.
+  // The range bounds an entry's leading key. A composite key is the array
+  // [k0, k1, ...] and k0 leads: arrays compare element by element and a
+  // prefix sorts first, so [lo] precedes every key whose k0 is >= lo. A
+  // primary entry's key is its id, a string.
   const bool composite = def_.key_paths.size() > 1;
-  auto leading = [composite](const json::Value& key) -> const json::Value& {
-    return composite ? key.At(0) : key;
+  auto compare = [&](const IndexEntry& e, const json::Value& bound) {
+    if (def_.is_primary) {
+      if (!bound.is_string()) return bound.type() > json::Type::kString ? -1 : 1;
+      return e.doc_id.compare(bound.AsString());
+    }
+    return json::Value::Compare(composite ? e.key.At(0) : e.key, bound);
   };
   ReaderLockGuard lock(mu_);
   std::vector<IndexEntry> out;
   auto it = tree_.begin();
   if (range.lo.has_value()) {
-    json::Value start =
-        composite ? json::Value::MakeArray({*range.lo}) : *range.lo;
-    it = tree_.lower_bound(IndexEntry{std::move(start), ""});
-    if (!range.lo_inclusive) {
-      while (it != tree_.end() &&
-             json::Value::Compare(leading(it->first.key), *range.lo) == 0) {
-        ++it;
-      }
+    const json::Value& lo = *range.lo;
+    if (!def_.is_primary) {
+      it = tree_.lower_bound(
+          IndexEntry{composite ? json::Value::MakeArray({lo}) : lo, ""});
+    } else if (lo.is_string()) {
+      it = tree_.lower_bound(IndexEntry{{}, lo.AsString()});
+    } else if (lo.type() > json::Type::kString) {
+      it = tree_.end();
+    }
+    while (!range.lo_inclusive && it != tree_.end() &&
+           compare(it->first, lo) == 0) {
+      ++it;
     }
   }
   for (; it != tree_.end() && out.size() < limit; ++it) {
     if (range.hi.has_value()) {
-      int c = json::Value::Compare(leading(it->first.key), *range.hi);
+      int c = compare(it->first, *range.hi);
       if (c > 0 || (c == 0 && !range.hi_inclusive)) break;
     }
-    out.push_back(IndexEntry{it->first.key, it->first.doc_id});
+    out.push_back(it->first);
   }
   return out;
 }

@@ -81,9 +81,11 @@ class IndexPartition {
   mutable SharedMutex mu_{"gsi.indexer"};
   COUCHKV_LOCK_ORDER("gsi.index_service", "gsi.indexer");
   COUCHKV_LOCK_ORDER("gsi.indexer", "storage.mem_file");
-  // Entries in (key, doc_id) order; value: the owning vBucket.
+  // Entries in (key, doc_id) order; value: the owning vBucket. A primary
+  // index stores each id once, as {MISSING, id}, so its order is the ids'.
   std::map<IndexEntry, uint16_t, EntryLess> tree_ GUARDED_BY(mu_);
-  // Back-index: doc_id -> keys currently indexed here (for removal).
+  // Back-index: doc_id -> keys currently indexed here (for removal). Empty
+  // for a primary index, whose entry is found by the id itself.
   std::unordered_map<std::string, std::vector<json::Value>> back_
       GUARDED_BY(mu_);
   std::array<std::atomic<uint64_t>, cluster::kNumVBuckets> processed_{};

@@ -262,6 +262,20 @@ void CollectAggregates(const SelectStatement& stmt,
   for (const OrderKey& k : stmt.order_by) CollectAggregatesExpr(k.expr, out);
 }
 
+bool QueryPlan::KeepsScanRows(const SelectStatement& stmt) const {
+  return scan.where_consumed && stmt.joins.empty() && stmt.group_by.empty() &&
+         !has_aggregates && stmt.order_by.empty() && !stmt.distinct;
+}
+
+bool QueryPlan::IdRows(const SelectStatement& stmt) const {
+  if (!scan.covering || !KeepsScanRows(stmt) || stmt.items.size() != 1) {
+    return false;
+  }
+  const Expr* e = stmt.items[0].expr.get();
+  return e != nullptr && e->kind == ExprKind::kMeta && e->meta_field == "id" &&
+         (e->meta_alias.empty() || e->meta_alias == stmt.from->alias);
+}
+
 json::Value QueryPlan::Describe(const SelectStatement& stmt) const {
   json::Value plan = json::Value::MakeObject();
   json::Value ops = json::Value::MakeArray();
@@ -274,6 +288,7 @@ json::Value QueryPlan::Describe(const SelectStatement& stmt) const {
       scan.kind == ScanKind::kIndexScan || scan.kind == ScanKind::kPrimaryScan;
   if (index_backed) {
     scan_op["covering"] = json::Value::Bool(scan.covering);
+    scan_op["id_rows"] = json::Value::Bool(IdRows(stmt));
     std::string range = DescribeRange(scan.range);
     if (!range.empty()) scan_op["range"] = json::Value::Str(std::move(range));
   }

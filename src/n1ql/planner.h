@@ -56,6 +56,16 @@ struct QueryPlan {
     return stmt.where != nullptr && !(scan.covering && scan.where_consumed);
   }
 
+  // True when every entry the scan returns is an output row, in scan order:
+  // the scan consumed the WHERE and no join, GROUP BY, aggregate, ORDER BY
+  // or DISTINCT follows. LIMIT and OFFSET then push into the scan.
+  bool KeepsScanRows(const SelectStatement& stmt) const;
+
+  // True when the output rows are built straight from the index entries:
+  // a covering scan keeps its rows and the statement projects meta().id
+  // alone, so each row is {name: entry.doc_id} with no Row or projection.
+  bool IdRows(const SelectStatement& stmt) const;
+
   // Rendered plan for EXPLAIN (mirrors Figure 11's operator list).
   json::Value Describe(const SelectStatement& stmt) const;
 };

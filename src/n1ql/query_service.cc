@@ -39,6 +39,30 @@ QueryService::QueryService(cluster::Cluster* cluster,
   dml_mutations_ = stats_scope_->GetCounter("dml_mutations");
   query_ns_ = stats_scope_->GetHistogram("query_ns");
   fetch_ns_ = stats_scope_->GetHistogram("fetch_ns");
+  statement_cache_hits_ = stats_scope_->GetCounter("statement_cache_hits");
+  statement_cache_misses_ = stats_scope_->GetCounter("statement_cache_misses");
+}
+
+StatusOr<std::shared_ptr<const Statement>> QueryService::Prepare(
+    const std::string& query) {
+  {
+    LockGuard lock(statements_mu_);
+    auto it = statements_.find(query);
+    if (it != statements_.end()) {
+      statement_cache_hits_->Add();
+      return it->second;
+    }
+  }
+  statement_cache_misses_->Add();
+  auto parsed = ParseStatement(query);
+  if (!parsed.ok()) return parsed.status();
+  auto stmt = std::make_shared<const Statement>(std::move(parsed).value());
+  LockGuard lock(statements_mu_);
+  if (statements_.size() >= kStatementCacheSize) {
+    statements_.erase(statements_.begin());
+  }
+  statements_.emplace(query, stmt);
+  return stmt;
 }
 
 client::SmartClient* QueryService::ClientFor(const std::string& bucket) {
@@ -81,12 +105,12 @@ StatusOr<QueryResult> QueryService::Execute(const std::string& query,
 
   queries_->Add();
   trace::Span span("n1ql.query", query_ns_);
-  auto stmt_or = ParseStatement(query);
+  auto stmt_or = Prepare(query);
   if (!stmt_or.ok()) {
     query_errors_->Add();
     return stmt_or.status();
   }
-  Statement& stmt = *stmt_or;
+  const Statement& stmt = **stmt_or;
   span.Phase("parse");
 
   uint64_t start = Clock::Real()->NowNanos();
@@ -199,7 +223,7 @@ StatusOr<std::vector<QueryService::ExecRow>> QueryService::FetchRows(
 
 StatusOr<std::vector<QueryService::ExecRow>> QueryService::RunScan(
     const SelectStatement& stmt, const QueryPlan& plan,
-    const QueryOptions& opts, QueryMetrics* metrics) {
+    const QueryOptions& opts, size_t scan_limit, QueryMetrics* metrics) {
   if (plan.scan.kind == ScanKind::kNoScan) {
     // SELECT without FROM: one empty row.
     return std::vector<ExecRow>{ExecRow{}};
@@ -222,19 +246,6 @@ StatusOr<std::vector<QueryService::ExecRow>> QueryService::RunScan(
       return Status::InvalidArgument("USE KEYS expects a string or array");
     }
     return FetchRows(from.keyspace, from.alias, ids, metrics);
-  }
-
-  // Index-backed scans. Push LIMIT+OFFSET into the index scan only when the
-  // rest of the pipeline cannot drop or reorder rows.
-  size_t scan_limit = SIZE_MAX;
-  if (plan.scan.where_consumed && stmt.joins.empty() &&
-      stmt.order_by.empty() && stmt.group_by.empty() &&
-      !plan.has_aggregates && !stmt.distinct) {
-    auto limit = EvalCount(stmt.limit, opts, SIZE_MAX);
-    if (!limit.ok()) return limit.status();
-    auto offset = EvalCount(stmt.offset, opts, 0);
-    if (!offset.ok()) return offset.status();
-    if (*limit != SIZE_MAX) scan_limit = *limit + *offset;
   }
 
   auto entries = gsi_->Scan(from.keyspace, plan.scan.index_name,
@@ -414,10 +425,38 @@ StatusOr<QueryResult> QueryService::ExecSelect(const SelectStatement& stmt,
     return result;
   }
 
+  auto offset = EvalCount(stmt.offset, opts, 0);
+  if (!offset.ok()) return offset.status();
+  auto limit = EvalCount(stmt.limit, opts, SIZE_MAX);
+  if (!limit.ok()) return limit.status();
+  // Push LIMIT+OFFSET into the index scan only when the rest of the
+  // pipeline cannot drop or reorder rows.
+  const size_t scan_limit = plan.KeepsScanRows(stmt) && *limit != SIZE_MAX
+                                ? *limit + *offset
+                                : SIZE_MAX;
+
+  if (plan.IdRows(stmt)) {
+    // Rows straight from the entries: {name: id}, named as the projection
+    // would name it.
+    auto entries =
+        gsi_->Scan(stmt.from->keyspace, plan.scan.index_name, plan.scan.range,
+                   scan_limit, opts.consistency);
+    if (!entries.ok()) return entries.status();
+    const std::string& alias = stmt.items[0].alias;
+    const std::string name = alias.empty() ? "$1" : alias;
+    for (size_t i = *offset; i < entries->size() && i - *offset < *limit;
+         ++i) {
+      Value::Object row;
+      row.emplace(name, Value::Str(std::move((*entries)[i].doc_id)));
+      result.rows.push_back(Value::MakeObject(std::move(row)));
+    }
+    return result;
+  }
+
   const std::string_view default_alias = FromAlias(stmt);
 
   // Scan (+ implicit fetch).
-  auto rows_or = RunScan(stmt, plan, opts, &result.metrics);
+  auto rows_or = RunScan(stmt, plan, opts, scan_limit, &result.metrics);
   if (!rows_or.ok()) return rows_or.status();
   std::vector<ExecRow> rows = std::move(rows_or).value();
 
@@ -485,10 +524,6 @@ StatusOr<QueryResult> QueryService::ExecSelect(const SelectStatement& stmt,
   }
 
   // Offset / limit.
-  auto offset = EvalCount(stmt.offset, opts, 0);
-  if (!offset.ok()) return offset.status();
-  auto limit = EvalCount(stmt.limit, opts, SIZE_MAX);
-  if (!limit.ok()) return limit.status();
   if (*offset > 0) {
     if (*offset >= rows.size()) {
       rows.clear();
@@ -560,7 +595,7 @@ StatusOr<std::vector<QueryService::ExecRow>> QueryService::ResolveDmlTargets(
   if (!plan.ok()) return plan.status();
   // DML must see the document body, never a covered projection.
   plan->scan.covering = false;
-  auto rows = RunScan(synth, *plan, opts, metrics);
+  auto rows = RunScan(synth, *plan, opts, SIZE_MAX, metrics);
   if (!rows.ok()) return rows;
   std::vector<ExecRow> kept;
   for (ExecRow& row : *rows) {

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "client/smart_client.h"
@@ -48,7 +49,10 @@ class QueryService {
                std::shared_ptr<gsi::IndexService> gsi,
                std::shared_ptr<views::ViewEngine> views);
 
-  // Parses and executes one N1QL statement.
+  // Parses and executes one N1QL statement. The parsed form of each
+  // distinct text is kept (as a prepared statement is), so a repeated text
+  // is not parsed again; planning still runs per call, against the current
+  // indexes and this call's parameters.
   StatusOr<QueryResult> Execute(const std::string& query,
                                 const QueryOptions& opts = {});
 
@@ -59,6 +63,10 @@ class QueryService {
   };
 
   client::SmartClient* ClientFor(const std::string& bucket);
+
+  // The parsed statement for `query`, from the cache or parsed and cached.
+  // A text that fails to parse is not cached.
+  StatusOr<std::shared_ptr<const Statement>> Prepare(const std::string& query);
 
   StatusOr<QueryResult> ExecSelect(const SelectStatement& stmt,
                                    const QueryOptions& opts, bool explain);
@@ -72,10 +80,12 @@ class QueryService {
   StatusOr<QueryResult> ExecDropIndex(const DropIndexStatement& stmt);
 
   // --- operators ---
-  // Runs the chosen scan, producing bound rows. Sets metrics.docs_fetched.
+  // Runs the chosen scan, producing bound rows. An index scan returns at
+  // most `scan_limit` entries. Sets metrics.docs_fetched.
   StatusOr<std::vector<ExecRow>> RunScan(const SelectStatement& stmt,
                                          const QueryPlan& plan,
                                          const QueryOptions& opts,
+                                         size_t scan_limit,
                                          QueryMetrics* metrics);
   // Parallel fetch of documents by id. Missing ids and non-JSON documents
   // are skipped; any other Get failure is returned as the query's error.
@@ -114,6 +124,15 @@ class QueryService {
   stats::Counter* dml_mutations_ = nullptr;
   Histogram* query_ns_ = nullptr;
   Histogram* fetch_ns_ = nullptr;
+  stats::Counter* statement_cache_hits_ = nullptr;
+  stats::Counter* statement_cache_misses_ = nullptr;
+
+  // Parsed statements by text, at most kStatementCacheSize of them (an
+  // arbitrary one is evicted to make room). A leaf lock.
+  static constexpr size_t kStatementCacheSize = 1024;
+  Mutex statements_mu_{"n1ql.statement_cache"};
+  std::unordered_map<std::string, std::shared_ptr<const Statement>>
+      statements_ GUARDED_BY(statements_mu_);
 
   Mutex mu_{"n1ql.query_service"};
   COUCHKV_LOCK_ORDER("n1ql.query_service", "views.engine");

@@ -260,8 +260,8 @@ StatusOr<kv::Document> CouchFile::Get(std::string_view key) const {
 }
 
 Status CouchFile::ChangesSince(
-    uint64_t since_seqno,
-    const std::function<Status(const kv::Document&)>& fn) const {
+    uint64_t since_seqno, const std::function<Status(kv::Document&&)>& fn,
+    uint64_t upto_seqno) const {
   // Snapshot the (seqno, offset) list and pin the file under the lock, then
   // read outside it (the pin keeps the snapshot valid across a concurrent
   // Compact() swap).
@@ -270,8 +270,8 @@ Status CouchFile::ChangesSince(
   {
     LockGuard lock(mu_);
     pin = file_;
-    for (auto it = by_seqno_.upper_bound(since_seqno); it != by_seqno_.end();
-         ++it) {
+    for (auto it = by_seqno_.upper_bound(since_seqno);
+         it != by_seqno_.end() && it->first <= upto_seqno; ++it) {
       auto id_it = by_id_.find(it->second);
       if (id_it == by_id_.end()) continue;
       locations.emplace_back(id_it->second.offset, id_it->second.record_size);
@@ -280,7 +280,7 @@ Status CouchFile::ChangesSince(
   for (auto [offset, size] : locations) {
     auto doc_or = ReadDocAt(*pin, offset, size);
     if (!doc_or.ok()) return doc_or.status();
-    COUCHKV_RETURN_IF_ERROR(fn(doc_or.value()));
+    COUCHKV_RETURN_IF_ERROR(fn(std::move(doc_or).value()));
   }
   return Status::OK();
 }

@@ -71,15 +71,15 @@ class CouchFile {
   // Point lookup of the latest committed-or-pending version.
   StatusOr<kv::Document> Get(std::string_view key) const EXCLUDES(mu_);
 
-  // Streams documents with seqno > since, in seqno order (DCP backfill).
-  // Only the latest version of each key is retained, matching DCP's
-  // key-deduplicated snapshot semantics. A non-OK status from `fn` (e.g. a
-  // failed downstream delivery) stops the scan and propagates, so consumer
-  // errors are never swallowed mid-stream.
-  Status ChangesSince(
-      uint64_t since_seqno,
-      const std::function<Status(const kv::Document&)>& fn) const
-      EXCLUDES(mu_);
+  // Streams documents with seqno in (since, upto], in seqno order (DCP
+  // backfill, warmup). Only the latest version of each key is retained,
+  // matching DCP's key-deduplicated snapshot semantics. Each document is
+  // freshly decoded, so `fn` may move from it. A non-OK status from `fn`
+  // (e.g. a failed downstream delivery) stops the scan and propagates, so
+  // consumer errors are never swallowed mid-stream.
+  Status ChangesSince(uint64_t since_seqno,
+                      const std::function<Status(kv::Document&&)>& fn,
+                      uint64_t upto_seqno = UINT64_MAX) const EXCLUDES(mu_);
 
   // Iterates all live (non-deleted) documents, arbitrary order. Stops and
   // propagates on the first non-OK status from `fn`.

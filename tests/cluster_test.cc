@@ -19,6 +19,7 @@
 #include "common/clock.h"
 #include "net/faulty_transport.h"
 #include "stats/registry.h"
+#include "storage/faulty_env.h"
 
 namespace couchkv::cluster {
 namespace {
@@ -150,6 +151,80 @@ TEST_F(FlusherTest, KillReturnsWhileFlusherIsParked) {
   ExpectReturns([this] { bucket_->Kill(); }, "Bucket::Kill");
 }
 
+// Writers on several vBuckets race the flusher's drain. The queue count
+// moves with each item under its shard lock, so the flusher never drains
+// an uncounted item: no counted pass is empty, the depth never reads more
+// than what was written, and every doc is flushed exactly once.
+TEST_F(FlusherTest, ConcurrentWritesNeverCountAnEmptyPass) {
+  constexpr int kWriters = 4;
+  constexpr int kWrites = 2000;
+  for (uint16_t vb = 1; vb < kWriters; ++vb) {
+    ASSERT_TRUE(bucket_->SetVBucketState(vb, VBucketState::kActive).ok());
+  }
+  stats::Scope* scope = bucket_->stats_scope();
+  const uint64_t batches0 = scope->GetCounter("flusher.batches")->Value();
+  const uint64_t docs0 = scope->GetCounter("flusher.batch_docs")->Value();
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> max_depth{0};
+  std::thread sampler([&] {
+    while (!done.load()) {
+      uint64_t d = bucket_->disk_queue_depth();
+      if (d > max_depth.load()) max_depth.store(d);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (uint16_t vb = 0; vb < kWriters; ++vb) {
+    writers.emplace_back([this, vb] {
+      for (int i = 0; i < kWrites; ++i) {
+        std::string key = std::to_string(vb) + ":" + std::to_string(i);
+        EXPECT_TRUE(bucket_->vbucket(vb)->Set(key, "v", 0, 0, 0).ok());
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  bucket_->FlushAll();
+  done.store(true);
+  sampler.join();
+  const uint64_t batches = scope->GetCounter("flusher.batches")->Value() - batches0;
+  const uint64_t docs = scope->GetCounter("flusher.batch_docs")->Value() - docs0;
+  EXPECT_EQ(docs, uint64_t{kWriters} * kWrites);  // distinct keys: no dedup
+  EXPECT_GE(docs, batches);
+  EXPECT_LE(max_depth.load(), uint64_t{kWriters} * kWrites);
+  EXPECT_EQ(bucket_->disk_queue_depth(), 0u);
+}
+
+// --- DCP change-log retention ---
+
+// A write leaves the change log only once it is persisted, even with no
+// stream to hold it: while every commit fails, every write stays.
+TEST(ChangeLogRetentionTest, UnpersistedWritesStayWithoutStreams) {
+  dcp::Dispatcher dispatcher;
+  std::unique_ptr<storage::Env> disk = storage::Env::NewMemEnv();
+  storage::FaultyEnvOptions faults;
+  faults.sync_fail_prob = 1.0;
+  storage::FaultyEnv env(disk.get(), faults);
+  BucketConfig cfg;
+  cfg.name = "retention";
+  auto bucket =
+      std::make_unique<Bucket>(cfg, 0, &env, Clock::Real(), &dispatcher);
+  ASSERT_TRUE(bucket->SetVBucketState(0, VBucketState::kActive).ok());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(
+        bucket->vbucket(0)->Set("k" + std::to_string(i), "v", 0, 0, 0).ok());
+  }
+  stats::Counter* fails = bucket->stats_scope()->GetCounter("flusher.flush_fails");
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fails->Value() < 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();  // the flusher retries with its own backoff
+  }
+  ASSERT_GE(fails->Value(), 3u);
+  EXPECT_EQ(bucket->producer()->LogItems(), 20u);
+  env.set_faults_enabled(false);  // the disk heals: the retry commits
+  bucket->FlushAll();
+  EXPECT_EQ(bucket->producer()->LogItems(), 0u);
+  EXPECT_EQ(bucket->producer()->high_seqno(0), 20u);
+}
+
 // --- Cluster fixture ---
 
 class ClusterTest : public ::testing::Test {
@@ -213,6 +288,60 @@ TEST_F(ClusterTest, MutationsReplicateAsynchronously) {
   auto r = rb->vbucket(vb)->hash_table().Get("k1");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->doc.value, "v1");
+}
+
+// With replication as the only consumer, a quiesced cluster keeps no
+// second copy of its documents in the DCP change logs: every item is
+// persisted on its node and taken by its replica.
+TEST_F(ClusterTest, QuiescedChangeLogsHoldNothing) {
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(Write("k" + std::to_string(i), "v").ok());
+  }
+  cluster_.Quiesce();
+  for (NodeId id : cluster_.node_ids()) {
+    std::shared_ptr<Bucket> b = cluster_.node(id)->bucket("default");
+    EXPECT_EQ(b->producer()->LogItems(), 0u) << "node " << id;
+    b->UpdateScrapeGauges();
+    EXPECT_EQ(b->stats_scope()->GetGauge("dcp.log_items")->Value(), 0)
+        << "node " << id;
+  }
+}
+
+// A replica stream that stalls (a partition) while its vBucket takes more
+// writes than the change log's 65,536-item cap holds still ends with every
+// document: the cap drops only persisted items, and a stream below the
+// log's window goes back to storage each time, not once per stream.
+TEST_F(ClusterTest, PartitionedReplicaCatchesUpPastTheLogCap) {
+  const uint16_t vb = KeyToVBucket("hot");
+  std::vector<std::string> cold;  // distinct keys in the hot key's vBucket
+  for (int i = 0; cold.size() < 50; ++i) {
+    std::string k = "cold" + std::to_string(i);
+    if (KeyToVBucket(k) == vb) cold.push_back(k);
+  }
+  const NodeId active = cluster_.map("default")->ActiveFor(vb);
+  const NodeId replica = cluster_.map("default")->ReplicasFor(vb)[0];
+  ASSERT_TRUE(Write("hot", "v").ok());
+  cluster_.Quiesce();
+
+  net::FaultyTransport transport(11);
+  cluster_.set_transport(&transport);
+  transport.Block(net::Endpoint::Node(active), net::Endpoint::Node(replica));
+  for (const std::string& k : cold) ASSERT_TRUE(Write(k, "cold").ok());
+  // Rewrites of one key, enough to push the cold keys past the cap.
+  const int kHotWrites = (1 << 16) + 100;
+  for (int i = 0; i < kHotWrites; ++i) {
+    ASSERT_TRUE(Write("hot", std::to_string(i)).ok());
+  }
+  transport.HealAll();
+  cluster_.Quiesce();
+  cluster_.set_transport(nullptr);
+
+  kv::HashTable& ht =
+      cluster_.node(replica)->bucket("default")->vbucket(vb)->hash_table();
+  for (const std::string& k : cold) EXPECT_TRUE(ht.Get(k).ok()) << k;
+  auto hot = ht.Get("hot");
+  ASSERT_TRUE(hot.ok());
+  EXPECT_EQ(hot->doc.value, std::to_string(kHotWrites - 1));
 }
 
 TEST_F(ClusterTest, ReplicaRejectsFrontEndOps) {

@@ -59,6 +59,31 @@ TEST(Crc32Test, KnownVectors) {
   // CRC32C("123456789") = 0xE3069283 (well-known check value).
   EXPECT_EQ(Crc32("123456789"), 0xE3069283u);
   EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(Crc32Table("123456789", 9), 0xE3069283u);
+  // RFC 3720 (iSCSI) B.4: 32 bytes of zeros, and of 0xFF.
+  std::string zeros(32, '\0'), ones(32, '\xff');
+  EXPECT_EQ(Crc32(zeros), 0x8A9136AAu);
+  EXPECT_EQ(Crc32(ones), 0x62A8AB43u);
+}
+
+// Whichever path Crc32 takes on this CPU, it agrees with the table at every
+// length (the 8-byte loop plus each possible tail) and alignment.
+TEST(Crc32Test, MatchesTableAtEveryLengthAndOffset) {
+  std::string buf(1200, '\0');
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (char& c : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    c = static_cast<char>(x);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len : {0, 1, 7, 8, 9, 15, 16, 17, 63, 100, 1100}) {
+      const char* p = buf.data() + offset;
+      EXPECT_EQ(Crc32(p, len), Crc32Table(p, len)) << offset << "+" << len;
+      EXPECT_EQ(Crc32(p, len, 0x1234u), Crc32Table(p, len, 0x1234u));
+    }
+  }
 }
 
 TEST(Crc32Test, IncrementalMatchesOneShot) {

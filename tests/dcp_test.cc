@@ -78,6 +78,7 @@ TEST(ChangeLogTest, ReadRespectsMax) {
 
 TEST(ChangeLogTest, WindowTrimsOldest) {
   ChangeLog log(/*max_items=*/5);
+  log.MarkPersisted(10);  // the cap drops persisted items only
   for (uint64_t i = 1; i <= 10; ++i) log.Append(Doc("k", "v", i));
   EXPECT_EQ(log.size(), 5u);
   EXPECT_EQ(log.start_seqno(), 6u);
@@ -85,6 +86,108 @@ TEST(ChangeLogTest, WindowTrimsOldest) {
   uint64_t start = log.ReadSince(0, 100, &out);
   EXPECT_EQ(start, 6u);
   EXPECT_EQ(out.size(), 5u);
+}
+
+TEST(ChangeLogTest, TrimDropsOnlyPersistedItems) {
+  ChangeLog log;
+  for (uint64_t i = 1; i <= 10; ++i) log.Append(Doc("k", "v", i));
+  log.Trim(UINT64_MAX);  // nothing is persisted yet
+  EXPECT_EQ(log.size(), 10u);
+  log.MarkPersisted(6);
+  log.Trim(4);  // the slowest stream has taken 4
+  EXPECT_EQ(log.start_seqno(), 5u);
+  log.Trim(UINT64_MAX);  // no stream: persistence alone bounds the trim
+  EXPECT_EQ(log.start_seqno(), 7u);
+  log.MarkPersisted(10);
+  log.Trim(UINT64_MAX);
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.start_seqno(), 11u);  // an empty window starts past the end
+  EXPECT_EQ(log.high_seqno(), 10u);
+}
+
+TEST(ChangeLogTest, CapNeverDropsUnpersistedItems) {
+  ChangeLog log(/*max_items=*/5);
+  log.MarkPersisted(3);
+  for (uint64_t i = 1; i <= 10; ++i) log.Append(Doc("k", "v", i));
+  EXPECT_EQ(log.size(), 7u);
+  EXPECT_EQ(log.start_seqno(), 4u);
+}
+
+// A backfill that reads vBucket 0's history from `cf`.
+BackfillFn FromStorage(const storage::CouchFile* cf) {
+  return [cf](uint16_t vb, uint64_t since, uint64_t upto,
+              const MutationFn& fn) {
+    return cf->ChangesSince(
+        since,
+        [&](kv::Document&& d) {
+          kv::Mutation m;
+          m.vbucket = vb;
+          m.doc = std::move(d);
+          return fn(m);
+        },
+        upto);
+  };
+}
+
+TEST(ProducerTest, PersistedItemsLeaveOnceEveryStreamHasThem) {
+  Producer p(1, nullptr);
+  bool b_up = false;
+  ASSERT_TRUE(p.AddStream("a", 0, 0, [](const kv::Mutation&) {
+                 return Status::OK();
+               }).ok());
+  ASSERT_TRUE(p.AddStream("b", 0, 0, [&](const kv::Mutation& m) {
+                 return b_up || m.doc.meta.seqno < 3 ? Status::OK()
+                                                     : Status::TempFail("down");
+               }).ok());
+  for (uint64_t i = 1; i <= 10; ++i) p.OnMutation(0, Doc("k", "v", i));
+  p.Drain();
+  EXPECT_EQ(p.LogItems(), 10u);  // nothing is persisted yet
+  p.OnPersisted(0, 8);
+  EXPECT_EQ(p.LogItems(), 8u);  // "b" has taken 1..2 only
+  b_up = true;
+  p.Drain();
+  EXPECT_EQ(p.LogItems(), 2u);  // 9..10 are not persisted
+  p.OnPersisted(0, 10);
+  EXPECT_EQ(p.LogItems(), 0u);
+  EXPECT_EQ(p.high_seqno(0), 10u);
+}
+
+// A stream that stalls while its vBucket takes more writes than the log's
+// cap goes back to storage for what the cap dropped: each seqno arrives
+// once, in order, with no gap.
+TEST(ProducerTest, StalledStreamBackfillsWhatTheCapDropped) {
+  auto env = storage::Env::NewMemEnv();
+  auto cf = storage::CouchFile::Open(env.get(), "vb0").value();
+  Producer p(1, FromStorage(cf.get()));
+  bool up = true;
+  std::vector<uint64_t> seen;
+  ASSERT_TRUE(p.AddStream("replica", 0, 0, [&](const kv::Mutation& m) {
+                 if (!up) return Status::TempFail("partitioned");
+                 seen.push_back(m.doc.meta.seqno);
+                 return Status::OK();
+               }).ok());
+  // Distinct keys, so no later version stands in for a dropped one.
+  constexpr uint64_t kWrites = (1 << 16) + 5000;
+  constexpr uint64_t kBatch = 1000;
+  for (uint64_t first = 1; first <= kWrites; first += kBatch) {
+    std::vector<kv::Document> batch;
+    for (uint64_t i = first; i < first + kBatch && i <= kWrites; ++i) {
+      batch.push_back(Doc("key" + std::to_string(i), "v", i));
+      p.OnMutation(0, batch.back());
+    }
+    ASSERT_TRUE(cf->SaveDocs(batch).ok());
+    ASSERT_TRUE(cf->Commit().ok());
+    p.OnPersisted(0, batch.back().meta.seqno);
+    p.Drain();
+    up = false;  // stalls after the first batch
+  }
+  EXPECT_GT(p.LogItems(), 0u);
+  EXPECT_LE(p.LogItems(), size_t{1} << 16);  // the cap held
+  up = true;
+  p.Drain();
+  ASSERT_EQ(seen.size(), kWrites);
+  for (uint64_t i = 0; i < kWrites; ++i) ASSERT_EQ(seen[i], i + 1);
+  EXPECT_EQ(p.LogItems(), 0u);
 }
 
 TEST(ProducerTest, StreamReceivesMutationsInOrder) {
@@ -191,14 +294,7 @@ TEST(ProducerTest, BackfillFromStorageCoversTrimmedWindow) {
   ASSERT_TRUE(cf->SaveDocs(docs).ok());
   ASSERT_TRUE(cf->Commit().ok());
 
-  Producer p(1, [&](uint16_t vb, uint64_t since, const MutationFn& fn) {
-    return cf->ChangesSince(since, [&](const kv::Document& d) {
-      kv::Mutation m;
-      m.vbucket = vb;
-      m.doc = d;
-      return fn(m);
-    });
-  });
+  Producer p(1, FromStorage(cf.get()));
   // Tiny in-memory window: only the last few mutations are in the log.
   // (Producer's internal logs have a large default; emulate the trimmed
   // state by feeding only the tail through OnMutation.)

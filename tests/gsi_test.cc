@@ -123,6 +123,51 @@ TEST(IndexPartitionTest, ApplyAndScan) {
   EXPECT_EQ(out[1].doc_id, "d3");
 }
 
+// A primary entry is the id alone: its key reads MISSING, a delete finds
+// it by id, and range bounds compare with the id as a JSON string.
+TEST(IndexPartitionTest, PrimaryEntriesHoldTheIdOnce) {
+  IndexDefinition def;
+  def.is_primary = true;
+  IndexPartition p(def, 0, nullptr);
+  for (const char* id : {"b", "a", "c", "d"}) p.Apply(KV(id, {Value::Str(id)}));
+  p.Apply(KV("c", {}, 2));                 // deleted
+  p.Apply(KV("a", {Value::Str("a")}, 3));  // a new version: still one entry
+  EXPECT_EQ(p.num_entries(), 3u);
+  auto ids = [&](const ScanRange& range, size_t limit = SIZE_MAX) {
+    std::vector<std::string> out;
+    for (const IndexEntry& e : p.Scan(range, limit)) {
+      EXPECT_TRUE(e.key.is_missing());
+      out.push_back(e.doc_id);
+    }
+    return out;
+  };
+  using Ids = std::vector<std::string>;
+  EXPECT_EQ(ids(ScanRange::All()), (Ids{"a", "b", "d"}));
+  EXPECT_EQ(ids(ScanRange::All(), 2), (Ids{"a", "b"}));
+  ScanRange open;
+  open.lo = Value::Str("a");
+  open.lo_inclusive = false;
+  open.hi = Value::Str("d");
+  open.hi_inclusive = false;
+  EXPECT_EQ(ids(open), (Ids{"b"}));
+  EXPECT_EQ(ids(ScanRange::Point(Value::Str("d"))), (Ids{"d"}));
+  // Every id is a string: numbers sort before it, arrays after it.
+  ScanRange above_number;
+  above_number.lo = Value::Int(5);
+  above_number.lo_inclusive = false;
+  EXPECT_EQ(ids(above_number), (Ids{"a", "b", "d"}));
+  ScanRange below_array;
+  below_array.hi = Value::MakeArray();
+  below_array.hi_inclusive = false;
+  EXPECT_EQ(ids(below_array), (Ids{"a", "b", "d"}));
+  ScanRange from_array;
+  from_array.lo = Value::MakeArray();
+  EXPECT_TRUE(ids(from_array).empty());
+  ScanRange up_to_null;
+  up_to_null.hi = Value::Null();
+  EXPECT_TRUE(ids(up_to_null).empty());
+}
+
 TEST(IndexPartitionTest, UpdateReplacesOldKey) {
   IndexDefinition def;
   def.key_paths = {"x"};
@@ -391,7 +436,9 @@ TEST_F(IndexServiceTest, PartitionedScanMergesInEntryOrderUnderLimit) {
     ASSERT_EQ(got->size(), want->size()) << limit;
     for (size_t i = 0; i < got->size(); ++i) {
       EXPECT_EQ((*got)[i].doc_id, (*want)[i].doc_id) << limit << " @" << i;
-      if (i > 0) EXPECT_TRUE(EntryLess()((*got)[i - 1], (*got)[i]));
+      if (i > 0) {
+        EXPECT_TRUE(EntryLess()((*got)[i - 1], (*got)[i]));
+      }
     }
   }
 }

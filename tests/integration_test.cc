@@ -183,6 +183,81 @@ TEST_F(IntegrationTest, QueriesKeepWorkingThroughRebalance) {
   ASSERT_EQ(r->rows.size(), 1u);
 }
 
+// Every consumer opened after the change logs were trimmed to nothing (a
+// GSI index and a primary index built after the load, a view, an XDCR
+// link) sees every live document, and no deleted one, through the storage
+// backfill.
+TEST_F(IntegrationTest, ConsumersOpenedAfterTheLogIsTrimmedSeeEveryLiveDoc) {
+  constexpr int kDocs = 300;
+  for (int i = 0; i < kDocs; ++i) {
+    ASSERT_TRUE(client_
+                    ->Upsert("d" + std::to_string(i),
+                             R"({"kind":"k)" + std::to_string(i % 3) + R"("})")
+                    .ok());
+  }
+  for (int i = 0; i < kDocs; i += 10) {
+    ASSERT_TRUE(client_->Remove("d" + std::to_string(i)).ok());
+  }
+  const size_t live = kDocs - kDocs / 10;
+  cluster_.Quiesce();
+  auto backfill_items = [&] {
+    uint64_t n = 0;
+    for (cluster::NodeId id : cluster_.node_ids()) {
+      std::shared_ptr<cluster::Bucket> b = cluster_.node(id)->bucket("default");
+      n += b->stats_scope()->GetCounter("dcp.backfill_items")->Value();
+    }
+    return n;
+  };
+  for (cluster::NodeId id : cluster_.node_ids()) {
+    EXPECT_EQ(cluster_.node(id)->bucket("default")->producer()->LogItems(), 0u);
+  }
+  const uint64_t backfilled = backfill_items();
+
+  ASSERT_TRUE(queries_
+                  ->Execute("CREATE INDEX by_kind ON `default`(kind) USING GSI")
+                  .ok());
+  ASSERT_TRUE(
+      queries_->Execute("CREATE PRIMARY INDEX ON `default` USING GSI").ok());
+  views::ViewDefinition vdef;
+  vdef.name = "by_kind_view";
+  vdef.map.key_paths = {"kind"};
+  ASSERT_TRUE(views_->CreateView("default", vdef).ok());
+  cluster::Cluster dr;
+  for (int i = 0; i < 2; ++i) dr.AddNode();
+  cluster::BucketConfig cfg;
+  cfg.name = "default";
+  cfg.num_replicas = 0;
+  ASSERT_TRUE(dr.CreateBucket(cfg).ok());
+  xdcr::XdcrSpec spec;
+  spec.source_bucket = spec.target_bucket = "default";
+  auto link = std::make_shared<xdcr::XdcrLink>(&cluster_, &dr, spec);
+  ASSERT_TRUE(link->Start("to-dr").ok());
+  for (int i = 0; i < 4; ++i) {
+    cluster_.Quiesce();
+    dr.Quiesce();
+  }
+  EXPECT_GT(backfill_items(), backfilled);
+
+  n1ql::QueryOptions qopts;
+  qopts.consistency = gsi::ScanConsistency::kRequestPlus;
+  auto by_kind = queries_->Execute(
+      "SELECT META().id AS id FROM `default` WHERE kind >= 'k0'", qopts);
+  ASSERT_TRUE(by_kind.ok()) << by_kind.status().ToString();
+  EXPECT_EQ(by_kind->rows.size(), live);
+  auto all = queries_->Execute("SELECT META().id AS id FROM `default`", qopts);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->rows.size(), live);
+  auto view = views_->Query("default", "by_kind_view", {},
+                            views::Staleness::kFalse);
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->rows.size(), live);
+  client::SmartClient dr_client(&dr, "default");
+  for (int i = 0; i < kDocs; ++i) {
+    std::string key = "d" + std::to_string(i);
+    EXPECT_EQ(dr_client.Get(key).ok(), i % 10 != 0) << key;
+  }
+}
+
 TEST_F(IntegrationTest, N1qlDmlFlowsToXdcrTarget) {
   cluster::Cluster dr;
   for (int i = 0; i < 2; ++i) dr.AddNode();

@@ -5,6 +5,7 @@
 #include "client/smart_client.h"
 #include "n1ql/query_service.h"
 #include "net/faulty_transport.h"
+#include "stats/registry.h"
 
 namespace couchkv::n1ql {
 namespace {
@@ -591,10 +592,12 @@ TEST_F(N1qlTest, CoveredAndFetchedFormsAgree) {
            {"z::0", R"({"age":null,"name":"z","email":"z0"})"},
            {"z::1", R"({"age":null,"name":"z","email":"z1"})"},
            {"m::0", R"({"name":"m","email":"m0"})"},
+           {"n::0", "\x01not json"},  // a row in every meta().id form
        }) {
     ASSERT_TRUE(client_->Upsert(id, body).ok());
   }
-  MustQuery("CREATE PRIMARY INDEX ON profiles USING GSI");
+  const std::string primary_ddl = "CREATE PRIMARY INDEX ON profiles USING GSI";
+  MustQuery(primary_ddl);
   QueryOptions opts;
   opts.params = {Value::Int(5), Value::Null(), Value::Str("s::")};
 
@@ -631,16 +634,18 @@ TEST_F(N1qlTest, CoveredAndFetchedFormsAgree) {
       {"age >= 5 AND age > 'a'", true},
       {"age >= 5 AND age = NULL", false},
   };
+  const std::vector<Where> on_id = {
+      {"meta().id >= 'd::25'", true},
+      {"meta().id < 'd::03'", true},
+      {"meta().id = 'd::07'", true},
+      {"meta().id > 'd::1' AND meta().id <= 'd::15'", true},
+      {"meta().id >= $3", true},
+      {"meta().id > 5", true},
+      {"meta().id < [1]", true},
+      {"meta().id >= $2", false},
+  };
   const std::vector<IndexCase> cases = {
-      {"CREATE PRIMARY INDEX ON profiles USING GSI",
-       "#primary",
-       {},
-       {{"meta().id >= 'd::25'", true},
-        {"meta().id < 'd::03'", true},
-        {"meta().id = 'd::07'", true},
-        {"meta().id > 'd::1' AND meta().id <= 'd::15'", true},
-        {"meta().id >= $3", true},
-        {"meta().id >= $2", false}}},
+      {primary_ddl, "#primary", {}, on_id},
       {"CREATE INDEX by_age ON profiles(age) USING GSI", "by_age", {"age"},
        on_age},
       {"CREATE INDEX by_age_p ON profiles(age) USING GSI "
@@ -650,6 +655,8 @@ TEST_F(N1qlTest, CoveredAndFetchedFormsAgree) {
        "by_age_name", {"age", "name"}, on_age},
       {"CREATE INDEX adults ON profiles(age) WHERE age >= 5 USING GSI",
        "adults", {"age"}, on_adults},
+      // Last: it replaces the plain primary index.
+      {primary_ddl + " WITH {\"num_partitions\": 3}", "#primary", {}, on_id},
   };
   const std::vector<std::pair<std::string, std::pair<size_t, size_t>>> tails =
       {{" LIMIT 3", {0, 3}}, {" LIMIT 4 OFFSET 2", {2, 4}},
@@ -684,15 +691,22 @@ TEST_F(N1qlTest, CoveredAndFetchedFormsAgree) {
   EXPECT_EQ(expected["age < true"], (std::vector<std::string>{"b::0"}));
 
   for (const IndexCase& c : cases) {
-    if (c.index != "#primary") MustQuery(c.ddl);
+    if (c.ddl != primary_ddl) {
+      if (c.index == "#primary") MustQuery("DROP INDEX profiles.`#primary`");
+      MustQuery(c.ddl);
+    }
     std::string keys;
     for (const std::string& k : c.keys) keys += ", " + k;
+    // The id-only form builds its rows straight from the index entries
+    // whenever the scan covers it and consumed the WHERE.
+    const std::string ids_only = "SELECT meta().id AS id FROM ";
     const std::string covered = "SELECT meta().id AS id" + keys + " FROM ";
     const std::string fetched =
         "SELECT meta().id AS id" + keys + ", email FROM ";
     for (const Where& w : c.wheres) {
       const std::string from_where = "profiles WHERE " + w.text;
-      SCOPED_TRACE(c.index + ": " + w.text);
+      SCOPED_TRACE(c.ddl + ": " + w.text);
+      auto ex_ids = MustQuery("EXPLAIN " + ids_only + from_where, opts);
       auto ex_covered = MustQuery("EXPLAIN " + covered + from_where, opts);
       auto ex_fetched = MustQuery("EXPLAIN " + fetched + from_where, opts);
       if (w.absorbed) {
@@ -702,13 +716,21 @@ TEST_F(N1qlTest, CoveredAndFetchedFormsAgree) {
         EXPECT_FALSE(
             ex_fetched.rows[0].GetPath("operators[0].covering").AsBool());
       }
+      EXPECT_EQ(ex_ids.rows[0].GetPath("operators[0].id_rows").AsBool(),
+                w.absorbed);
+      EXPECT_EQ(ex_covered.rows[0].GetPath("operators[0].id_rows").AsBool(),
+                w.absorbed && c.keys.empty());
+      EXPECT_FALSE(ex_fetched.rows[0].GetPath("operators[0].id_rows").AsBool());
       EXPECT_EQ(has_filter(ex_covered), !w.absorbed);
       EXPECT_TRUE(has_filter(ex_fetched));
 
       auto full = MustQuery(covered + from_where, opts);
       auto full_ids = ids(full);
       EXPECT_EQ(full_ids, ids(MustQuery(fetched + from_where, opts)));
-      if (w.absorbed) EXPECT_EQ(full.metrics.docs_fetched, 0u);
+      EXPECT_EQ(full_ids, ids(MustQuery(ids_only + from_where, opts)));
+      if (w.absorbed) {
+        EXPECT_EQ(full.metrics.docs_fetched, 0u);
+      }
       auto sorted = full_ids;
       std::sort(sorted.begin(), sorted.end());
       EXPECT_EQ(sorted, expected[w.text]);
@@ -737,6 +759,8 @@ TEST_F(N1qlTest, CoveredAndFetchedFormsAgree) {
              ++i) {
           want.push_back(full_ids[i]);
         }
+        EXPECT_EQ(ids(MustQuery(ids_only + from_where + tail, opts)), want)
+            << tail;
         EXPECT_EQ(ids(MustQuery(covered + from_where + tail, opts)), want)
             << tail;
         EXPECT_EQ(ids(MustQuery(fetched + from_where + tail, opts)), want)
@@ -845,6 +869,79 @@ TEST_F(N1qlTest, MdsNoQueryNodeRefusesQueries) {
   auto r = qs.Execute("SELECT 1");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
+}
+
+// The parsed form of a text is reused: a second run of the same text is a
+// cache hit, and new $n values still give their own rows, because the plan
+// is made per call.
+TEST_F(N1qlTest, RepeatedTextHitsTheStatementCache) {
+  LoadProfiles(10);
+  MustQuery("CREATE PRIMARY INDEX ON profiles USING GSI");
+  std::shared_ptr<stats::Scope> n1ql = stats::Registry::Global().GetScope("n1ql");
+  stats::Counter* hits = n1ql->GetCounter("statement_cache_hits");
+  stats::Counter* misses = n1ql->GetCounter("statement_cache_misses");
+  const uint64_t hits0 = hits->Value(), misses0 = misses->Value();
+  const std::string q =
+      "SELECT meta().id AS id FROM profiles WHERE meta().id >= $1 LIMIT $2";
+  auto ids = [&](const std::string& from, int n) {
+    QueryOptions opts;
+    opts.params = {Value::Str(from), Value::Int(n)};
+    std::vector<std::string> out;
+    for (const Value& row : MustQuery(q, opts).rows) {
+      out.push_back(row.Field("id").AsString());
+    }
+    return out;
+  };
+  EXPECT_EQ(ids("profile::3", 2),
+            (std::vector<std::string>{"profile::3", "profile::4"}));
+  EXPECT_EQ(misses->Value() - misses0, 1u);
+  EXPECT_EQ(hits->Value() - hits0, 0u);
+  EXPECT_EQ(ids("profile::7", 3),
+            (std::vector<std::string>{"profile::7", "profile::8",
+                                      "profile::9"}));
+  EXPECT_EQ(ids("profile::3", 2),
+            (std::vector<std::string>{"profile::3", "profile::4"}));
+  EXPECT_EQ(misses->Value() - misses0, 1u);
+  EXPECT_EQ(hits->Value() - hits0, 2u);
+}
+
+TEST_F(N1qlTest, ParseErrorIsNotCached) {
+  std::shared_ptr<stats::Scope> n1ql = stats::Registry::Global().GetScope("n1ql");
+  stats::Counter* hits = n1ql->GetCounter("statement_cache_hits");
+  stats::Counter* misses = n1ql->GetCounter("statement_cache_misses");
+  const uint64_t hits0 = hits->Value(), misses0 = misses->Value();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(service_->Execute("SELEC 1 FROM profiles").ok());
+  }
+  EXPECT_EQ(misses->Value() - misses0, 2u);
+  EXPECT_EQ(hits->Value() - hits0, 0u);
+}
+
+// Id rows are named as the projection names meta().id, and only an
+// id-only covering statement gets them.
+TEST_F(N1qlTest, IdRowsFollowTheProjection) {
+  LoadProfiles(3);
+  MustQuery("CREATE PRIMARY INDEX ON profiles USING GSI");
+  auto r = MustQuery("SELECT META(p).id FROM profiles p LIMIT 1 OFFSET 1");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0].ToJson(), R"({"$1":"profile::1"})");
+  for (const std::string q : {
+           "SELECT meta().id FROM profiles ORDER BY meta().id",
+           "SELECT DISTINCT meta().id FROM profiles",
+           "SELECT meta().id, meta().id AS again FROM profiles",
+           "SELECT meta().cas FROM profiles",
+           "SELECT COUNT(*) FROM profiles",
+       }) {
+    EXPECT_FALSE(MustQuery("EXPLAIN " + q)
+                     .rows[0]
+                     .GetPath("operators[0].id_rows")
+                     .AsBool())
+        << q;
+  }
+  EXPECT_TRUE(MustQuery("EXPLAIN SELECT meta().id FROM profiles")
+                  .rows[0]
+                  .GetPath("operators[0].id_rows")
+                  .AsBool());
 }
 
 TEST_F(N1qlTest, ExplainListsOperatorPipeline) {
